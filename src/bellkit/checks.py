@@ -9,6 +9,7 @@ the determinant-based separability test it is used to cross-check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -457,7 +458,7 @@ def check_statistics() -> CheckResult:
 
 
 def check_reproducibility() -> CheckResult:
-    """Identical (program, shots, seed) gives identical statistics, serial or parallel."""
+    """Identical (program, shots, seed) gives identical statistics, equal to a shot-by-shot replay."""
     program, _ = circuit.parse(
         "prepare bell-random-sign psi s0=0.8\napply bellop\nmeasure value B\nmeasure relative\n"
     )
@@ -465,11 +466,12 @@ def check_reproducibility() -> CheckResult:
     first = engine.run(program, shots=600, seed=33, keep_results=True)
     second = engine.run(program, shots=600, seed=33, keep_results=True)
     if first != second:
-        return CheckResult("reproducibility", False, "two serial runs differ")
-    parallel = engine.run(program, shots=600, seed=33, keep_results=True, workers=3)
-    if parallel != first:
-        return CheckResult("reproducibility", False, "parallel run differs from serial")
-    return CheckResult("reproducibility", True, "serial and 3-worker runs identical")
+        return CheckResult("reproducibility", False, "two runs differ")
+    replay = tuple(engine.run_shot(program, engine.derive_rng(33, index)) for index in range(600))
+    counts = dict(Counter(engine.outcome_key(shot.records) for shot in replay))
+    if first != engine.ShotStatistics(600, 33, counts, replay):
+        return CheckResult("reproducibility", False, "run differs from the per-shot replay")
+    return CheckResult("reproducibility", True, "repeated runs and per-shot replay identical")
 
 
 GROUPS: tuple[Callable[[], CheckResult], ...] = (

@@ -65,9 +65,9 @@ __all__ = [
 DEFAULT_SHOTS = 1024
 DEFAULT_SEED = 0
 DEFAULT_S0 = INV_SQRT2
-_MAX_SEED = 2**64 - 1
+MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers
 
-_BASIS_LABELS = ("00", "01", "10", "11")
+BASIS_LABELS = ("00", "01", "10", "11")
 _TOKEN_RE = re.compile(r"\S+")
 
 # Source position (line, column), both 1-based; excluded from equality so
@@ -253,7 +253,7 @@ def _parse_prepare(reader: _LineReader) -> Optional[Preparation]:
         if not reader.check_arity(3, "prepare basis <00|01|10|11>"):
             return None
         label = tokens[2]
-        if label.text not in _BASIS_LABELS:
+        if label.text not in BASIS_LABELS:
             reader.error(label.column, f"expected basis label 00|01|10|11, got {label.text!r}")
             return None
         return BasisPreparation(index=int(label.text, 2), source_pos=pos)
@@ -398,7 +398,7 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
         elif head.text == "seed":
             if reader.check_arity(2, "seed <integer>"):
                 value = reader.integer(tokens[1], "seed")
-                if value is not None and not 0 <= value <= _MAX_SEED:
+                if value is not None and not 0 <= value <= MAX_SEED:
                     reader.error(tokens[1].column, "malformed number for seed: out of unsigned 64-bit range")
                     value = None
                 if value is not None:
@@ -483,7 +483,7 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
 
 def _format_preparation(prep: Preparation) -> str:
     if isinstance(prep, BasisPreparation):
-        return f"prepare basis {_BASIS_LABELS[prep.index]}"
+        return f"prepare basis {BASIS_LABELS[prep.index]}"
     if isinstance(prep, BellPreparation):
         d = prep.descriptor
         sign = "+" if d.sign == 1 else "-"

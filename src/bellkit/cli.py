@@ -16,6 +16,7 @@ from typing import Optional
 from . import checks
 from .bell import StateClassification, classify, separability_defect, BellDescriptor, bell_state
 from .circuit import (
+    BASIS_LABELS,
     BellPreparation,
     CircuitProgram,
     MeasureValue,
@@ -42,8 +43,6 @@ from .engine import (
     run,
     run_shot,
 )
-
-_BASIS_LABELS = ("00", "01", "10", "11")
 
 
 def _positive_int(text: str) -> int:
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=_seed_value, default=None, help="override the program's master seed")
     p_run.add_argument("--format", choices=("text", "json"), default="text", dest="output_format")
     p_run.add_argument("--trace", action="store_true", help="include per-shot measurement records")
-    p_run.add_argument("--workers", type=_positive_int, default=1, help="worker processes for shot execution")
+    p_run.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p_run.set_defaults(handler=cmd_run)
 
     p_demo = sub.add_parser("demo", help="print the built-in entangle/flip/disentangle pipeline")
@@ -115,7 +114,7 @@ def _format_state(s: TwoQubitState) -> str:
 
 def _classification_label(c: StateClassification) -> str:
     if c.kind == "basis":
-        label = f"basis |{_BASIS_LABELS[c.basis_index]}>"
+        label = f"basis |{BASIS_LABELS[c.basis_index]}>"
     elif c.kind == "bell":
         d = c.bell
         sign = "+" if d.sign == 1 else "-"

@@ -247,17 +247,20 @@ def bell_operator() -> TwoQubitOperator:
     return _BELL_OPERATOR
 
 
+_PROJECTORS: dict[tuple[str, int], TwoQubitOperator] = {
+    (particle, value): TwoQubitOperator(np.kron(p, _EYE2) if particle == "A" else np.kron(_EYE2, p))
+    for value, p in enumerate(np.diag(d).astype(complex) for d in ([1, 0], [0, 1]))
+    for particle in ("A", "B")
+}
+
+
 def projector(particle: Particle, value: int) -> TwoQubitOperator:
-    """Projector onto the subspace where `particle` has the given bit value."""
+    """Projector onto the subspace where `particle` has the given bit value (one of four constants)."""
     if value not in (0, 1):
         raise ValueError(f"projector value must be 0 or 1, got {value}")
-    p = np.zeros((2, 2), dtype=complex)
-    p[value, value] = 1
-    if particle == "A":
-        return TwoQubitOperator(np.kron(p, _EYE2))
-    if particle == "B":
-        return TwoQubitOperator(np.kron(_EYE2, p))
-    raise ValueError(f"particle must be 'A' or 'B', got {particle!r}")
+    if particle not in ("A", "B"):
+        raise ValueError(f"particle must be 'A' or 'B', got {particle!r}")
+    return _PROJECTORS[particle, value]
 
 
 def tensor(a: SingleQubitState, b: SingleQubitState) -> TwoQubitState:

@@ -4,31 +4,34 @@ Randomness contract
 -------------------
 Every shot draws from its own substream: shot i of a run with master seed s
 uses ``numpy.random.Generator(PCG64(SeedSequence([s, i])))``.  The derivation
-is platform-independent and independent of execution order, so shot-level
-parallelism cannot change any outcome.  Within a shot, draws happen in
-program order: one uniform for a random-sign preparation, then one uniform
-per genuinely probabilistic measurement.  Measurements whose outcome
-probability is 0 or 1 within EPS_DET take a deterministic branch and consume
-no draw, so adding or removing them never perturbs downstream sampling.
+is platform-independent and independent of execution order.  Within a shot,
+draws happen in program order: one uniform for a random-sign preparation,
+then one uniform per genuinely probabilistic measurement.  Measurements whose
+outcome probability is 0 or 1 within EPS_DET take a deterministic branch and
+consume no draw, so adding or removing them never perturbs downstream sampling.
 
 The only operation required of a random stream is ``random() -> float``
 uniform on [0, 1); an outcome with probability p is realized when the draw
-is strictly below p.
+is strictly below p.  A shot thus depends on a draw only through the side of
+p it falls on, so all shots walk one branch tree whose inner nodes are the
+steps that draw.  A node is built on first visit by the shot code; a run
+stores at most NODE_BUDGET nodes and runs the branches past them unstored.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Protocol, Union
 
 import numpy as np
 
 from .bell import EPS_SEP, BellDescriptor, bell_state, separability_defect
 from .circuit import (
+    MAX_SEED,
     ApplyBellOperator,
     ApplyNamed,
     ApplyRaw,
@@ -73,7 +76,8 @@ __all__ = [
 
 EPS_DET = 1e-9  # outcome probabilities within this of 0 or 1 are deterministic
 
-MAX_SEED = 2**64 - 1
+NODE_BUDGET = 4096  # branch-tree nodes one run stores: a memory bound, not a knob
+_P_PLUS_SIGN = 0.5  # a random-sign preparation takes sign + when its draw is below this
 
 
 class RandomStream(Protocol):
@@ -85,6 +89,9 @@ class RelativeBit(enum.Enum):
 
     SAME = "Same"
     DIFFERENT = "Different"
+
+
+_RELATIVE_BITS = (RelativeBit.SAME, RelativeBit.DIFFERENT)
 
 
 @dataclass(frozen=True)
@@ -151,18 +158,28 @@ class ShotStatistics:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
+def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> tuple[float, Optional[int]]:
+    """First-outcome probability p (Same, or `particle` = 0) and the outcome, 0
+    for the first or 1, that p makes certain within EPS_DET; None if it draws."""
+    if particle is None:
+        p = abs(s.g00) ** 2 + abs(s.g11) ** 2
+    else:
+        p = apply2(projector(particle, 0), s).norm() ** 2
+    if p >= 1.0 - EPS_DET:
+        return p, 0
+    if p <= EPS_DET:
+        return p, 1
+    return p, None
+
+
 def relative_bit(s: TwoQubitState) -> RelativeBitResult:
     """Read the same/different bit without collapsing the state.
 
     Determinate iff the state lives on one diagonal: p_same within EPS_DET of
     1 gives SAME, of 0 gives DIFFERENT; anything else is indeterminate.
     """
-    p_same = abs(s.g00) ** 2 + abs(s.g11) ** 2
-    if p_same >= 1.0 - EPS_DET:
-        return RelativeBitResult(RelativeBit.SAME, p_same)
-    if p_same <= EPS_DET:
-        return RelativeBitResult(RelativeBit.DIFFERENT, p_same)
-    return RelativeBitResult(None, p_same)
+    p_same, certain = _first_outcome(s, None)
+    return RelativeBitResult(None if certain is None else _RELATIVE_BITS[certain], p_same)
 
 
 def measure_relative(
@@ -173,27 +190,22 @@ def measure_relative(
     Deterministic inputs (one diagonal empty within EPS_DET) consume no draw
     and pass the state through unchanged.
     """
-    p_same = abs(s.g00) ** 2 + abs(s.g11) ** 2
-    p_diff = abs(s.g01) ** 2 + abs(s.g10) ** 2
-    if p_same >= 1.0 - EPS_DET:
-        outcome, post, probability, projected_norm = RelativeBit.SAME, s, 1.0, 1.0
-    elif p_same <= EPS_DET:
-        outcome, post, probability, projected_norm = RelativeBit.DIFFERENT, s, 1.0, 1.0
-    elif rng.random() < p_same:
-        outcome, probability = RelativeBit.SAME, p_same
-        projected = TwoQubitState(s.g00, 0.0, 0.0, s.g11)
-        projected_norm = projected.norm()
-        post = normalize(projected)
+    p_same, outcome = _first_outcome(s, None)
+    if outcome is not None:
+        post, probability, projected_norm = s, 1.0, 1.0
     else:
-        outcome, probability = RelativeBit.DIFFERENT, p_diff
-        projected = TwoQubitState(0.0, s.g01, s.g10, 0.0)
+        if rng.random() < p_same:
+            outcome, probability, projected = 0, p_same, TwoQubitState(s.g00, 0.0, 0.0, s.g11)
+        else:
+            outcome, probability = 1, abs(s.g01) ** 2 + abs(s.g10) ** 2
+            projected = TwoQubitState(0.0, s.g01, s.g10, 0.0)
         projected_norm = projected.norm()
         post = normalize(projected)
     record = MeasurementRecord(
         step_index=step_index,
         kind="relative",
         particle=None,
-        outcome=outcome,
+        outcome=_RELATIVE_BITS[outcome],
         probability=probability,
         projected_norm=projected_norm,
         post_state=post,
@@ -211,16 +223,11 @@ def measure_value(
     renormalization.  The post-state is always a product state: projection
     zeroes one row of the coefficient matrix, so the defect vanishes.
     """
-    projected0 = apply2(projector(particle, 0), s)
-    p0 = projected0.norm() ** 2
-    deterministic = p0 >= 1.0 - EPS_DET or p0 <= EPS_DET
-    if deterministic:
-        outcome = 0 if p0 >= 1.0 - EPS_DET else 1
-    else:
-        outcome = 0 if rng.random() < p0 else 1
-    projected = projected0 if outcome == 0 else apply2(projector(particle, 1), s)
+    p0, certain = _first_outcome(s, particle)
+    outcome = (0 if rng.random() < p0 else 1) if certain is None else certain
+    projected = apply2(projector(particle, outcome), s)
     projected_norm = projected.norm()
-    probability = 1.0 if deterministic else projected_norm**2
+    probability = projected_norm**2 if certain is None else 1.0
     post = normalize(projected)
     assert separability_defect(post) <= EPS_SEP
     record = MeasurementRecord(
@@ -247,7 +254,7 @@ def _prepare(program: CircuitProgram, rng: RandomStream) -> TwoQubitState:
     if isinstance(prep, BellPreparation):
         return bell_state(prep.descriptor)
     if isinstance(prep, BellRandomSignPreparation):
-        sign = 1 if rng.random() < 0.5 else -1
+        sign = 1 if rng.random() < _P_PLUS_SIGN else -1
         return bell_state(BellDescriptor(prep.bell_class, sign, prep.s0))
     if isinstance(prep, RawPreparation):
         return prep.state
@@ -269,34 +276,12 @@ def _compiled_steps(program: CircuitProgram) -> list[tuple]:
         elif isinstance(step, ApplyRaw):
             compiled.append(("apply", _lift_for(step.particle, step.operator)))
         elif isinstance(step, MeasureRelative):
-            compiled.append(("measure_relative", index))
+            compiled.append(("measure", index, None))
         elif isinstance(step, MeasureValue):
-            compiled.append(("measure_value", index, step.particle))
+            compiled.append(("measure", index, step.particle))
         else:
             raise TypeError(f"unknown step {step!r}")
     return compiled
-
-
-def _execute(
-    compiled: list[tuple], program: CircuitProgram, rng: RandomStream
-) -> ShotResult:
-    state = _prepare(program, rng)
-    records: list[MeasurementRecord] = []
-    for action in compiled:
-        if action[0] == "apply":
-            state = apply2(action[1], state)
-        elif action[0] == "measure_relative":
-            record, state = measure_relative(state, rng, step_index=action[1])
-            records.append(record)
-        else:
-            record, state = measure_value(state, action[2], rng, step_index=action[1])
-            records.append(record)
-    return ShotResult(records=tuple(records), final_state=state)
-
-
-def run_shot(program: CircuitProgram, rng: RandomStream) -> ShotResult:
-    """Execute one shot: prepare, apply steps in order, record measurements."""
-    return _execute(_compiled_steps(program), program, rng)
 
 
 def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
@@ -313,19 +298,63 @@ def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
     return ",".join(tokens)
 
 
-def _run_range(
-    program: CircuitProgram, seed: int, start: int, stop: int, keep_results: bool
-) -> tuple[int, dict[str, int], Optional[list[ShotResult]]]:
-    compiled = _compiled_steps(program)
-    counts: dict[str, int] = {}
-    results: Optional[list[ShotResult]] = [] if keep_results else None
-    for index in range(start, stop):
-        shot = _execute(compiled, program, derive_rng(seed, index))
-        key = outcome_key(shot.records)
-        counts[key] = counts.get(key, 0) + 1
-        if results is not None:
-            results.append(shot)
-    return start, counts, results
+# Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
+_Node = namedtuple("_Node", ["p", "at", "children"])
+
+
+class _BranchTree:
+    """One program's lazily built branch tree; leaves are (ShotResult, key)."""
+
+    def __init__(self, program: CircuitProgram, budget: int) -> None:
+        self.program = program
+        self.actions = [("prepare",), *_compiled_steps(program)]
+        self.budget, self.size = budget, 1
+        drawn = isinstance(program.preparation, BellRandomSignPreparation)  # the sign is drawn
+        self.root = _Node(_P_PLUS_SIGN, (0, None, ()), [None, None]) if drawn else self._build(0, None, ())
+
+    def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream]):
+        if action[0] == "prepare":
+            return _prepare(self.program, rng), records
+        if action[0] == "apply":
+            return apply2(action[1], state), records
+        if action[2] is None:
+            record, state = measure_relative(state, rng, step_index=action[1])
+        else:
+            record, state = measure_value(state, action[2], rng, step_index=action[1])
+        return state, records + (record,)
+
+    def _build(self, position: int, state, records: tuple):
+        """Run the actions from `position` up to the next one that draws."""
+        for position in range(position, len(self.actions)):
+            action = self.actions[position]
+            if action[0] == "measure":
+                p, certain = _first_outcome(state, action[2])
+                if certain is None:
+                    return _Node(p, (position, state, records), [None, None])
+            state, records = self._step(action, state, records, None)  # draws nothing
+        return ShotResult(records=records, final_state=state), outcome_key(records)
+
+    def walk(self, rng: Optional[RandomStream]) -> tuple[ShotResult, str]:
+        """Take one shot from the root to its leaf, drawing from `rng` at each inner node."""
+        node = self.root
+        while isinstance(node, _Node):
+            draw = rng.random()
+            branch = 0 if draw < node.p else 1
+            child = node.children[branch]
+            if child is None:
+                position, state, records = node.at
+                replay = SimpleNamespace(random=lambda: draw)  # the draw taken just above
+                child = self._build(position + 1, *self._step(self.actions[position], state, records, replay))
+                if self.size < self.budget:  # once full, never stores again
+                    node.children[branch] = child
+                    self.size += 1
+            node = child
+        return node
+
+
+def run_shot(program: CircuitProgram, rng: RandomStream) -> ShotResult:
+    """Execute one shot: prepare, apply steps in order, record measurements."""
+    return _BranchTree(program, budget=0).walk(rng)[0]
 
 
 def run(
@@ -338,10 +367,8 @@ def run(
 ) -> ShotStatistics:
     """Run the program for `shots` independent shots and aggregate outcomes.
 
-    shots/seed default to the program's own settings.  With workers > 1 the
-    shot range is split into contiguous chunks executed in worker processes;
-    because every shot's stream depends only on (seed, shot index), the
-    aggregate is identical to the serial run.
+    shots/seed default to the program's own settings.  `workers` must be >= 1
+    and has no effect; it is accepted for compatibility.
     """
     shots = program.shots if shots is None else shots
     seed = program.seed if seed is None else seed
@@ -352,29 +379,18 @@ def run(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    if workers == 1 or shots == 1:
-        _, counts, results = _run_range(program, seed, 0, shots, keep_results)
-        chunks = [(0, counts, results)]
-    else:
-        size = math.ceil(shots / workers)
-        bounds = [(lo, min(lo + size, shots)) for lo in range(0, shots, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_range, program, seed, lo, hi, keep_results)
-                for lo, hi in bounds
-            ]
-            chunks = sorted((f.result() for f in futures), key=lambda item: item[0])
-
-    total_counts: dict[str, int] = {}
-    merged: list[ShotResult] = []
-    for _, chunk_counts, chunk_results in chunks:
-        for key, value in chunk_counts.items():
-            total_counts[key] = total_counts.get(key, 0) + value
-        if keep_results and chunk_results is not None:
-            merged.extend(chunk_results)
+    tree = _BranchTree(program, NODE_BUDGET)
+    draws = isinstance(tree.root, _Node)  # a stream is derived only for shots that draw
+    counts: dict[str, int] = {}
+    results: list[ShotResult] = []
+    for index in range(shots):
+        shot, key = tree.walk(derive_rng(seed, index) if draws else None)
+        counts[key] = counts.get(key, 0) + 1
+        if keep_results:
+            results.append(shot)
     return ShotStatistics(
         shots=shots,
         seed=seed,
-        counts=total_counts,
-        results=tuple(merged) if keep_results else None,
+        counts=counts,
+        results=tuple(results) if keep_results else None,
     )

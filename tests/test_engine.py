@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ScriptedStream
+from helpers import ScriptedStream, random_program
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bellkit
 from bellkit import circuit, core, engine
 from bellkit.bell import BellDescriptor, bell_state, classify, separability_defect
 from bellkit.checks import random_two_qubit_state
@@ -296,3 +303,51 @@ class TestRun:
         prog = program(BasisPreparation(index=3), shots=8, seed=0)
         stats = run(prog)
         assert stats.counts == {"none": 8}
+
+
+def _replay(prog, shots, seed):
+    """The reference: every shot on its own, from its documented substream."""
+    results = tuple(run_shot(prog, derive_rng(seed, index)) for index in range(shots))
+    counts = {}
+    for shot in results:
+        key = outcome_key(shot.records)
+        counts[key] = counts.get(key, 0) + 1
+    return engine.ShotStatistics(shots=shots, seed=seed, counts=counts, results=results)
+
+
+class TestBranchTree:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        shots=st.integers(1, 64),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_run_equals_per_shot_replay(self, program_seed, shots, seed):
+        prog = random_program(np.random.default_rng(program_seed))
+        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    def test_run_past_the_node_budget_equals_replay(self):
+        # About 20 draws per shot: a few hundred shots need more nodes than a run stores.
+        source = "prepare bell-random-sign phi\n" + "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n" * 10
+        prog, diags = circuit.parse(source)
+        assert prog is not None and not diags
+        shots, seed = 400, 9
+        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+        for index in range(shots):
+            tree.walk(derive_rng(seed, index))
+        assert tree.size == engine.NODE_BUDGET
+        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    def test_run_shot_stores_no_nodes(self):
+        prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureValue(particle="A"))
+        tree = engine._BranchTree(prog, budget=0)
+        tree.walk(derive_rng(0, 0))
+        assert tree.size == 1 and tree.root.children == [None, None]
+
+
+def test_import_starts_no_process_machinery():
+    code = "import sys, bellkit; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
