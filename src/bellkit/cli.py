@@ -146,7 +146,6 @@ def _render_counts_table(stats: ShotStatistics) -> list[str]:
 
 def _render_trace_text(stats: ShotStatistics) -> list[str]:
     lines = ["", "trace:"]
-    assert stats.results is not None
     for index, shot in enumerate(stats.results):
         lines.append(f"shot {index}:")
         for record in shot.records:
@@ -208,11 +207,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         keep_results=args.trace,
         workers=args.workers,
     )
+    if args.trace and stats.results is None:
+        raise RuntimeError("--trace needs the per-shot results, but the run kept none")
 
     if args.output_format == "json":
         payload = stats.to_payload()
         if args.trace:
-            assert stats.results is not None
             payload["trace"] = [
                 {
                     "shot": index,

@@ -1,11 +1,14 @@
 """Command-line behavior: output shapes, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bellkit
 from bellkit import cli
 
 DETERMINISTIC = "prepare basis 00\napply flip B\nmeasure value A\nmeasure value B\nshots 16\n"
@@ -233,3 +236,17 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120,
         )
         assert usage.returncode == 1
+
+    def test_optimized_interpreter_prints_the_same_bytes(self):
+        # -O strips asserts: the invariant checks on the run and trace paths must not rely on them.
+        sample = Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk"
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "bellkit", "run", str(sample)],
+                env=env, capture_output=True, timeout=120,
+            )
+            for flags in ((), ("-O",))
+        ]
+        assert [done.returncode for done in outputs] == [0, 0]
+        assert outputs[0].stdout and outputs[1].stdout == outputs[0].stdout

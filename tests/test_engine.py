@@ -278,6 +278,21 @@ class TestRun:
         with pytest.raises(ValueError, match="workers"):
             run(prog, workers=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"shots": True}, {"shots": 2.5}, {"shots": "3"}, {"seed": 1.0}, {"seed": False}, {"workers": 1.5}],
+    )
+    def test_non_integer_counts_are_type_errors(self, overrides):
+        prog = program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A"))
+        with pytest.raises(TypeError, match=next(iter(overrides))):
+            run(prog, **overrides)
+
+    def test_numpy_integers_are_accepted(self):
+        prog = program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A"))
+        stats = run(prog, shots=np.int64(30), seed=np.uint64(engine.MAX_SEED))
+        assert type(stats.shots) is int and type(stats.seed) is int
+        assert stats == run(prog, shots=30, seed=engine.MAX_SEED)
+
     def test_seed_boundary_is_accepted(self):
         prog = program(BasisPreparation(index=0), MeasureValue(particle="A"))
         stats = run(prog, shots=1, seed=engine.MAX_SEED)
@@ -315,6 +330,33 @@ def _replay(prog, shots, seed):
     return engine.ShotStatistics(shots=shots, seed=seed, counts=counts, results=results)
 
 
+class TestDraws:
+    SEEDS = (0, 7, 424242, 2**32 - 1, 2**32, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", [0, 1, 2**32 - 1, 2**32])
+    def test_equals_derive_rng(self, seed, index):
+        got = engine.draws(seed, index, index + 1, 4)
+        rng = derive_rng(seed, index)
+        assert got.shape == (4, 1) and got.dtype == np.float64
+        assert got[:, 0].tolist() == [rng.random() for _ in range(4)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", [0, 2**32 - 3, 2**64 - 5])
+    def test_a_block_equals_derive_rng_per_column(self, seed, start):
+        # The block at 2**32 - 3 straddles 2**32, where an index gains a second entropy word.
+        got = engine.draws(seed, start, start + 5, 3)
+        for column, index in enumerate(range(start, start + 5)):
+            rng = derive_rng(seed, index)
+            assert got[:, column].tolist() == [rng.random() for _ in range(3)]
+
+    def test_rejects_indices_and_seeds_beyond_64_bits(self):
+        with pytest.raises(ValueError):
+            engine.draws(0, 2**64 - 1, 2**64 + 1, 1)
+        with pytest.raises(ValueError):
+            engine.draws(2**64, 0, 1, 1)
+
+
 class TestBranchTree:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
@@ -337,6 +379,57 @@ class TestBranchTree:
             tree.walk(derive_rng(seed, index))
         assert tree.size == engine.NODE_BUDGET
         assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(1, 64),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_run_across_a_block_boundary_equals_replay(self, program_seed, extra, seed):
+        # test_run_equals_per_shot_replay covers both sides of the bulk cutover; this crosses a block.
+        assert 1 < engine._BULK_MIN_SHOTS <= 64
+        prog = random_program(np.random.default_rng(program_seed))
+        shots = engine._BLOCK_SHOTS + extra
+        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    def test_program_past_the_bulk_draw_bound_runs_per_shot(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a program with this many draws per shot runs per shot")
+
+        monkeypatch.setattr(engine, "draws", no_blocks)
+        prog = program(
+            BellRandomSignPreparation(bell_class="phi"),
+            *[ApplyBellOperator(), MeasureValue(particle="A")] * engine._BULK_MAX_DRAWS,
+        )
+        shots, seed = engine._BULK_MIN_SHOTS + 2, 4
+        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    def test_run_keeps_the_contract_if_bulk_draws_disagree(self, monkeypatch):
+        prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureRelative(), MeasureValue(particle="B"))
+        shots, seed = 100, 8
+        monkeypatch.setattr(engine, "draws", lambda seed, start, stop, k: np.full((k, stop - start), 0.25))
+        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+
+    def test_walk_past_the_end_of_a_row_raises(self):
+        prog = program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A"))
+        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+        with pytest.raises(RuntimeError, match="more than the 1 draws"):
+            tree.walk(engine._Row([0.3]))
+        assert tree.walk(engine._Row([0.3, 0.3]))[1] == "A=0"
+
+    def test_a_drawn_value_measurement_costs_two_apply2_calls(self, monkeypatch):
+        # One apply2 decides the node's probability, one projects the drawn branch.
+        calls = []
+
+        def counting_apply2(op, state):
+            calls.append(op)
+            return core.apply2(op, state)
+
+        monkeypatch.setattr(engine, "apply2", counting_apply2)
+        prog = program(BellPreparation(descriptor=BellDescriptor("phi", 1)), MeasureValue(particle="A"))
+        shot = run_shot(prog, ScriptedStream([0.3]))
+        assert shot.records[0].outcome == 0 and len(calls) == 2
 
     def test_run_shot_stores_no_nodes(self):
         prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureValue(particle="A"))
