@@ -83,7 +83,8 @@ def separability_defect(s: TwoQubitState) -> float:
 def factorize(s: TwoQubitState) -> Optional[tuple[SingleQubitState, SingleQubitState]]:
     """Split a separable state into normalized per-particle factors.
 
-    Returns None when the defect exceeds EPS_SEP.  For a separable input the
+    Returns None when the defect exceeds EPS_SEP; the zero vector, which has
+    no factors, is a ValueError.  For a separable input the
     reconstruction tensor(a, b) reproduces s exactly (global phase included):
     the B factor is read off the dominant row of the coefficient matrix and
     each A amplitude is that row basis's coefficient, so the arbitrary phase
@@ -95,6 +96,8 @@ def factorize(s: TwoQubitState) -> Optional[tuple[SingleQubitState, SingleQubitS
     norms = tuple(math.hypot(abs(r[0]), abs(r[1])) for r in rows)
     dominant = 0 if norms[0] >= norms[1] else 1
     d = norms[dominant]
+    if d == 0.0:
+        raise ValueError("the zero vector is not a state and has no factors")
     b0 = rows[dominant][0] / d
     b1 = rows[dominant][1] / d
     # a_i = <b | row_i>; for an exactly separable state this recovers the
@@ -128,15 +131,18 @@ class StateClassification:
     def reconstruct(self) -> TwoQubitState:
         """Rebuild the classified state; raises on kind 'general'."""
         if self.kind == "basis":
-            assert self.basis_index is not None
+            if self.basis_index is None:
+                raise ValueError("a 'basis' classification without basis_index cannot be reconstructed")
             b = basis_state(self.basis_index)
             return TwoQubitState(*(self.phase * g for g in b.amplitudes))
         if self.kind == "bell":
-            assert self.bell is not None
+            if self.bell is None:
+                raise ValueError("a 'bell' classification without bell cannot be reconstructed")
             b = bell_state(self.bell)
             return TwoQubitState(*(self.phase * g for g in b.amplitudes))
         if self.kind == "product":
-            assert self.factors is not None
+            if self.factors is None:
+                raise ValueError("a 'product' classification without factors cannot be reconstructed")
             t = tensor(*self.factors)
             return TwoQubitState(*(self.phase * g for g in t.amplitudes))
         raise ValueError("a 'general' classification carries no reconstruction")
@@ -154,7 +160,10 @@ def _strip_leading_phase(s: SingleQubitState) -> tuple[complex, SingleQubitState
 
 
 def classify(s: TwoQubitState) -> StateClassification:
-    """Classify a normalized state; priority basis > bell > product > general."""
+    """Classify a normalized state; priority basis > bell > product > general.
+
+    The zero vector is not a state: `factorize` raises ValueError for it.
+    """
     amps = s.amplitudes
 
     # Basis: one amplitude of unit modulus, the rest negligible.
@@ -188,9 +197,8 @@ def classify(s: TwoQubitState) -> StateClassification:
             bell=BellDescriptor(bell_class=bell_class, sign=sign, s0=min(s0, 1.0)),
         )
 
-    if separability_defect(s) <= EPS_SEP:
-        factors = factorize(s)
-        assert factors is not None
+    factors = factorize(s)
+    if factors is not None:
         phase_a, a = _strip_leading_phase(factors[0])
         phase_b, b = _strip_leading_phase(factors[1])
         return StateClassification(

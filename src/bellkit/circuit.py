@@ -360,6 +360,7 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
     """Parse source text; returns (program, []) or (None, error diagnostics)."""
     diags: list[Diagnostic] = []
     preparation: Optional[Preparation] = None
+    prepare_seen = False  # a malformed prepare line has its own diagnostic
     steps: list[Step] = []
     shots: Optional[int] = None
     seed: Optional[int] = None
@@ -373,6 +374,7 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
         reader = _LineReader(tokens, line_no, diags)
         head = tokens[0]
         if head.text == "prepare":
+            prepare_seen = True
             prep = _parse_prepare(reader)
             if prep is not None:
                 if preparation is not None:
@@ -409,7 +411,7 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
         else:
             reader.error(head.column, f"unknown keyword {head.text!r}")
 
-    if preparation is None:
+    if not prepare_seen:
         diags.append(Diagnostic(1, 1, "error", "missing prepare statement"))
     if diags:
         return None, diags

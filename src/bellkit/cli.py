@@ -19,6 +19,7 @@ from .circuit import (
     BASIS_LABELS,
     BellPreparation,
     CircuitProgram,
+    MeasureRelative,
     MeasureValue,
     parse,
     validate,
@@ -37,11 +38,10 @@ from .core import (
 from .engine import (
     MAX_SEED,
     RelativeBit,
+    ShotResult,
     ShotStatistics,
-    derive_rng,
     relative_bit,
     run,
-    run_shot,
 )
 
 
@@ -144,23 +144,43 @@ def _render_counts_table(stats: ShotStatistics) -> list[str]:
     return lines
 
 
-def _render_trace_text(stats: ShotStatistics) -> list[str]:
-    lines = ["", "trace:"]
-    for index, shot in enumerate(stats.results):
-        lines.append(f"shot {index}:")
-        for record in shot.records:
-            outcome = (
-                f"rel={record.outcome.value}"
-                if isinstance(record.outcome, RelativeBit)
-                else f"{record.particle}={record.outcome}"
-            )
-            lines.append(
-                f"  step {record.step_index} {record.kind} {outcome}"
-                f" p={record.probability:.6f} norm={record.projected_norm:.6f}"
-                f" post {_format_state(record.post_state)}"
-            )
-        lines.append(f"  final {_format_state(shot.final_state)}")
-    return lines
+def _render_each_once(results: tuple[ShotResult, ...], render) -> list[str]:
+    """`render(shot)` for every shot, computed once per distinct ShotResult.
+
+    Shots that reach one branch-tree leaf share its ShotResult object, so a
+    report costs one render per leaf plus one splice per shot.  `results`
+    keeps every object alive, so an id stays unique for the whole call.
+    """
+    rendered: dict[int, str] = {}
+    texts = []
+    for shot in results:
+        text = rendered.get(id(shot))
+        if text is None:
+            text = rendered[id(shot)] = render(shot)
+        texts.append(text)
+    return texts
+
+
+def _shot_text(shot: ShotResult) -> str:
+    """One shot's trace lines after its "shot i:" header."""
+    lines = []
+    for record in shot.records:
+        outcome = (
+            f"rel={record.outcome.value}"
+            if isinstance(record.outcome, RelativeBit)
+            else f"{record.particle}={record.outcome}"
+        )
+        lines.append(
+            f"  step {record.step_index} {record.kind} {outcome}"
+            f" p={record.probability:.6f} norm={record.projected_norm:.6f}"
+            f" post {_format_state(record.post_state)}"
+        )
+    lines.append(f"  final {_format_state(shot.final_state)}")
+    return "\n".join(lines)
+
+
+def _state_floats(s: TwoQubitState) -> list[float]:
+    return [x for g in s.amplitudes for x in (g.real, g.imag)]
 
 
 def _record_payload(record) -> dict:
@@ -172,8 +192,28 @@ def _record_payload(record) -> dict:
         "outcome": outcome,
         "probability": record.probability,
         "projected_norm": record.projected_norm,
-        "post_state": [x for g in record.post_state.amplitudes for x in (g.real, g.imag)],
+        "post_state": _state_floats(record.post_state),
     }
+
+
+def _shot_json_head(shot: ShotResult) -> str:
+    """One shot's trace entry up to the value of its "shot" key, which sorts
+    last, indented for its place in the report (an item of a top-level list)."""
+    entry = {"final_state": _state_floats(shot.final_state), "records": [_record_payload(r) for r in shot.records]}
+    body = json.dumps(entry, indent=2, sort_keys=True)
+    return body[: -len("\n}")].replace("\n", "\n    ") + ',\n      "shot": '
+
+
+def _render_json(stats: ShotStatistics, trace: bool) -> str:
+    """The report as ``json.dumps(payload, indent=2, sort_keys=True)`` prints it,
+    with the trace entry of each distinct ShotResult dumped once."""
+    if not trace:
+        return stats.to_json()
+    report = json.dumps({**stats.to_payload(), "trace": None}, indent=2, sort_keys=True)
+    before, _, after = report.rpartition('"trace": null')
+    heads = _render_each_once(stats.results, _shot_json_head)
+    entries = ",\n    ".join(f"{head}{index}\n    }}" for index, head in enumerate(heads))
+    return f'{before}"trace": [\n    {entries}\n  ]{after}'
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -200,42 +240,36 @@ def cmd_run(args: argparse.Namespace) -> int:
     if any(diag.severity == "error" for diag in issues):
         return 2
 
+    # A measurement-free text report shows shot 0's final state, taken from the run.
+    shows_final = args.output_format == "text" and not any(
+        isinstance(step, (MeasureRelative, MeasureValue)) for step in program.steps
+    )
+    keep_results = args.trace or shows_final
     stats = run(
         program,
         shots=args.shots,
         seed=args.seed,
-        keep_results=args.trace,
+        keep_results=keep_results,
         workers=args.workers,
     )
-    if args.trace and stats.results is None:
-        raise RuntimeError("--trace needs the per-shot results, but the run kept none")
+    if keep_results and stats.results is None:
+        raise RuntimeError("the report needs the per-shot results, but the run kept none")
 
     if args.output_format == "json":
-        payload = stats.to_payload()
-        if args.trace:
-            payload["trace"] = [
-                {
-                    "shot": index,
-                    "records": [_record_payload(r) for r in shot.records],
-                    "final_state": [x for g in shot.final_state.amplitudes for x in (g.real, g.imag)],
-                }
-                for index, shot in enumerate(stats.results)
-            ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_render_json(stats, args.trace))
         return 0
 
     lines = [f"shots: {stats.shots}", f"seed: {stats.seed}", ""]
     lines.extend(_render_counts_table(stats))
-    if not any(key != "none" for key in stats.counts):
-        # No measurements: every shot ends in a pure state; show the first.
-        shot = run_shot(program, derive_rng(stats.seed, 0))
-        final = shot.final_state
+    if shows_final:
+        final = stats.results[0].final_state
         lines.append("")
         lines.append(f"final state: {_format_state(final)}")
         lines.append(f"classification: {_classification_label(classify(final))}")
         lines.append(f"relative bit: {_relative_bit_label(final)}")
     if args.trace:
-        lines.extend(_render_trace_text(stats))
+        texts = _render_each_once(stats.results, _shot_text)
+        lines += ["", "trace:", *(f"shot {index}:\n{text}" for index, text in enumerate(texts))]
     print("\n".join(lines))
     return 0
 

@@ -168,18 +168,23 @@ class ShotStatistics:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> tuple[float, Optional[int]]:
-    """First-outcome probability p (Same, or `particle` = 0) and the outcome, 0
-    for the first or 1, that p makes certain within EPS_DET; None if it draws."""
+_First = tuple[float, Optional[int], Optional[TwoQubitState]]
+
+
+def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> _First:
+    """First-outcome probability p (Same, or `particle` = 0), the outcome, 0 for
+    the first or 1, that p makes certain within EPS_DET (None if it draws), and
+    for a value measurement the projection onto `particle` = 0 that gave p."""
     if particle is None:
-        p = abs(s.g00) ** 2 + abs(s.g11) ** 2
+        p, projected = abs(s.g00) ** 2 + abs(s.g11) ** 2, None
     else:
-        p = apply2(projector(particle, 0), s).norm() ** 2
+        projected = apply2(projector(particle, 0), s)
+        p = projected.norm() ** 2
     if p >= 1.0 - EPS_DET:
-        return p, 0
+        return p, 0, projected
     if p <= EPS_DET:
-        return p, 1
-    return p, None
+        return p, 1, projected
+    return p, None, projected
 
 
 def relative_bit(s: TwoQubitState) -> RelativeBitResult:
@@ -188,7 +193,7 @@ def relative_bit(s: TwoQubitState) -> RelativeBitResult:
     Determinate iff the state lives on one diagonal: p_same within EPS_DET of
     1 gives SAME, of 0 gives DIFFERENT; anything else is indeterminate.
     """
-    p_same, certain = _first_outcome(s, None)
+    p_same, certain, _ = _first_outcome(s, None)
     return RelativeBitResult(None if certain is None else _RELATIVE_BITS[certain], p_same)
 
 
@@ -197,7 +202,7 @@ def measure_relative(
     rng: Optional[RandomStream],
     step_index: int = 0,
     *,
-    first: Optional[tuple[float, Optional[int]]] = None,
+    first: Optional[_First] = None,
 ) -> tuple[MeasurementRecord, TwoQubitState]:
     """Measure the same/different bit, collapsing onto the realized diagonal.
 
@@ -205,7 +210,7 @@ def measure_relative(
     and pass the state through unchanged.  `first` is ``_first_outcome(s,
     None)`` when the caller has already computed it.
     """
-    p_same, outcome = _first_outcome(s, None) if first is None else first
+    p_same, outcome, _ = _first_outcome(s, None) if first is None else first
     if outcome is not None:
         post, probability, projected_norm = s, 1.0, 1.0
     else:
@@ -234,7 +239,7 @@ def measure_value(
     rng: Optional[RandomStream],
     step_index: int = 0,
     *,
-    first: Optional[tuple[float, Optional[int]]] = None,
+    first: Optional[_First] = None,
 ) -> tuple[MeasurementRecord, TwoQubitState]:
     """Projectively measure one particle's value (Born rule).
 
@@ -243,11 +248,12 @@ def measure_value(
     renormalization.  The post-state is always a product state: projection
     zeroes one row of the coefficient matrix, so the defect vanishes.
     `first` is ``_first_outcome(s, particle)`` when the caller has already
-    computed it.
+    computed it; its projection may be None.
     """
-    p0, certain = _first_outcome(s, particle) if first is None else first
+    p0, certain, projected = _first_outcome(s, particle) if first is None else first
     outcome = (0 if rng.random() < p0 else 1) if certain is None else certain
-    projected = apply2(projector(particle, outcome), s)
+    if outcome == 1 or projected is None:
+        projected = apply2(projector(particle, outcome), s)
     projected_norm = projected.norm()
     probability = projected_norm**2 if certain is None else 1.0
     post = normalize(projected)
@@ -405,6 +411,7 @@ def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
 
 
 # Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
+# A node keeps no first-outcome projection: each of its children is built only once.
 _Node = namedtuple("_Node", ["p", "at", "children"])
 
 
@@ -454,7 +461,7 @@ class _BranchTree:
                 position, state, records = node.at
                 replay = SimpleNamespace(random=lambda: draw)  # the draw taken just above
                 child = self._build(
-                    position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None))
+                    position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None, None))
                 )
                 if self.size < self.budget:  # once full, never stores again
                     node.children[branch] = child

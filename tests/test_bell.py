@@ -1,6 +1,10 @@
 """Bell family, separability defect, factorization, and classification."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,36 @@ class TestClassify:
     def test_reconstruct_raises_on_general(self):
         with pytest.raises(ValueError):
             bell.StateClassification(kind="general").reconstruct()
+
+    @pytest.mark.parametrize("kind", ["basis", "bell", "product"])
+    def test_reconstruct_without_payload_raises(self, kind):
+        with pytest.raises(ValueError, match=f"'{kind}' classification without"):
+            bell.StateClassification(kind=kind).reconstruct()
+
+    def test_reconstruct_without_payload_raises_under_optimized_interpreter(self):
+        # -O strips asserts, so the check must be an explicit raise.
+        code = (
+            "from bellkit.bell import StateClassification\n"
+            "for kind in ('basis', 'bell', 'product'):\n"
+            "    try:\n"
+            "        StateClassification(kind=kind).reconstruct()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bell.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 3
+
+
+class TestZeroVector:
+    def test_factorize_names_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            bell.factorize(core.TwoQubitState(0, 0, 0, 0))
+
+    def test_classify_names_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            bell.classify(core.TwoQubitState(0, 0, 0, 0))
 
 
 class TestNearestProductOracle:

@@ -124,6 +124,20 @@ class TestParseErrors:
             (1, 1, "error", "missing prepare statement"),
         ]
 
+    def test_malformed_prepare_reports_only_its_own_error(self):
+        assert parse_errors("prepare bogus\n") == [
+            (1, 9, "error", "unknown preparation kind 'bogus'"),
+        ]
+        assert parse_errors("shots 5\nprepare basis 2\nmeasure value A\n") == [
+            (2, 15, "error", "expected basis label 00|01|10|11, got '2'"),
+        ]
+
+    def test_missing_prepare_is_still_reported_beside_other_errors(self):
+        assert parse_errors("apply flip Q\nmeasure value A\n") == [
+            (1, 12, "error", "expected particle A or B, got 'Q'"),
+            (1, 1, "error", "missing prepare statement"),
+        ]
+
     def test_empty_source(self):
         assert parse_errors("") == [(1, 1, "error", "missing prepare statement")]
 
@@ -220,7 +234,7 @@ class TestParseErrors:
 
     def test_all_errors_are_collected(self):
         got = parse_errors("prepare basis 5\napply flip Q\nmeasure twice\n")
-        assert [(line, col) for line, col, _, _ in got] == [(1, 15), (2, 12), (3, 9), (1, 1)]
+        assert [(line, col) for line, col, _, _ in got] == [(1, 15), (2, 12), (3, 9)]
 
     def test_all_or_nothing(self):
         program, diags = parse("prepare basis 00\nmeasure value A\nbogus\n")

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import random_program
 
 import bellkit
-from bellkit import cli
+from bellkit import circuit, cli, engine
+from bellkit.bell import classify
+from bellkit.engine import RelativeBit, derive_rng, run, run_shot
 
 DETERMINISTIC = "prepare basis 00\napply flip B\nmeasure value A\nmeasure value B\nshots 16\n"
 PIPELINE = "prepare basis 00\napply bellop\napply flip A\napply bellop\n"
@@ -120,6 +124,123 @@ class TestRunCommand:
         serial = invoke(capsys, ["run", path])
         parallel = invoke(capsys, ["run", path, "--workers", "3"])
         assert serial == parallel and serial[0] == 0
+
+
+class TestMeasurementFreeReport:
+    SOURCE = "prepare bell-random-sign phi\n"
+
+    def test_final_state_is_shot_0s_without_a_second_run(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "sign.bk", self.SOURCE)
+        prog, _ = circuit.parse(self.SOURCE)
+        assert len({id(shot) for shot in run(prog, 64, 1, keep_results=True).results}) == 2
+        trees = []
+
+        class CountingTree(engine._BranchTree):
+            def __init__(self, *args, **kwargs):
+                trees.append(self)
+                super().__init__(*args, **kwargs)
+
+        signs = set()
+        for seed in range(8):
+            for shots in (1, engine._BULK_MIN_SHOTS + 1):
+                expected = cli._format_state(run_shot(prog, derive_rng(seed, 0)).final_state)
+                monkeypatch.setattr(engine, "_BranchTree", CountingTree)
+                trees.clear()
+                code, out, _ = invoke(capsys, ["run", path, "--seed", str(seed), "--shots", str(shots)])
+                monkeypatch.undo()
+                assert code == 0 and len(trees) == 1
+                assert f"final state: {expected}" in out.splitlines()
+                signs.add(expected.split()[-1])
+            if seed == 1:
+                assert "-0.707107+0.000000i" in out
+        assert signs == {"0.707107+0.000000i", "-0.707107+0.000000i"}
+
+
+# The per-shot renderer cli.cmd_run used before it rendered each distinct
+# ShotResult once: the reference for every --trace report.
+def _reference_record_payload(record) -> dict:
+    outcome = record.outcome.value if isinstance(record.outcome, RelativeBit) else record.outcome
+    return {
+        "step": record.step_index,
+        "kind": record.kind,
+        "particle": record.particle,
+        "outcome": outcome,
+        "probability": record.probability,
+        "projected_norm": record.projected_norm,
+        "post_state": [x for g in record.post_state.amplitudes for x in (g.real, g.imag)],
+    }
+
+
+def _reference_trace_stdout(program, shots, seed, output_format) -> str:
+    stats = run(program, shots, seed, keep_results=True)
+    if output_format == "json":
+        payload = stats.to_payload()
+        payload["trace"] = [
+            {
+                "shot": index,
+                "records": [_reference_record_payload(r) for r in shot.records],
+                "final_state": [x for g in shot.final_state.amplitudes for x in (g.real, g.imag)],
+            }
+            for index, shot in enumerate(stats.results)
+        ]
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"shots: {stats.shots}", f"seed: {stats.seed}", ""]
+    lines.extend(cli._render_counts_table(stats))
+    if not any(key != "none" for key in stats.counts):
+        final = run_shot(program, derive_rng(stats.seed, 0)).final_state
+        lines.append("")
+        lines.append(f"final state: {cli._format_state(final)}")
+        lines.append(f"classification: {cli._classification_label(classify(final))}")
+        lines.append(f"relative bit: {cli._relative_bit_label(final)}")
+    lines.extend(["", "trace:"])
+    for index, shot in enumerate(stats.results):
+        lines.append(f"shot {index}:")
+        for record in shot.records:
+            outcome = (
+                f"rel={record.outcome.value}"
+                if isinstance(record.outcome, RelativeBit)
+                else f"{record.particle}={record.outcome}"
+            )
+            lines.append(
+                f"  step {record.step_index} {record.kind} {outcome}"
+                f" p={record.probability:.6f} norm={record.projected_norm:.6f}"
+                f" post {cli._format_state(record.post_state)}"
+            )
+        lines.append(f"  final {cli._format_state(shot.final_state)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceRendering:
+    def assert_matches_reference(self, capsys, path, program, shots, seed):
+        for flags, output_format in (((), "text"), (("--format", "json"), "json")):
+            code, out, _ = invoke(capsys, ["run", path, "--trace", "--shots", str(shots), "--seed", str(seed), *flags])
+            assert code == 0
+            assert out == _reference_trace_stdout(program, shots, seed, output_format)
+
+    def test_random_programs_match_the_per_shot_renderer(self, tmp_path, capsys):
+        shot_counts = (1, engine._BULK_MIN_SHOTS - 1, engine._BULK_MIN_SHOTS, 2 * engine._BULK_MIN_SHOTS + 5)
+        path = str(tmp_path / "random.bk")
+        for index in range(200):
+            program = random_program(np.random.default_rng(index))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(circuit.format_program(program))
+            shots = shot_counts[index % len(shot_counts)]
+            self.assert_matches_reference(capsys, path, program, shots, program.seed)
+
+    def test_program_past_the_node_budget_matches(self, tmp_path, capsys):
+        # Shots past the budget reach leaves that are stored nowhere: each is its own object.
+        source = "prepare bell-random-sign phi\n" + "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n" * 10
+        program, _ = circuit.parse(source)
+        shots, seed = 400, 9
+        assert len({id(shot) for shot in run(program, shots, seed, keep_results=True).results}) > 1
+        self.assert_matches_reference(capsys, write(tmp_path, "deep.bk", source), program, shots, seed)
+
+    def test_measurement_free_program_matches(self, tmp_path, capsys):
+        source = "prepare bell-random-sign psi s0=0.6\napply bellop\n"
+        program, _ = circuit.parse(source)
+        path = write(tmp_path, "free.bk", source)
+        for seed in range(4):
+            self.assert_matches_reference(capsys, path, program, engine._BULK_MIN_SHOTS + 6, seed)
 
 
 class TestRunFailures:

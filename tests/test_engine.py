@@ -431,6 +431,22 @@ class TestBranchTree:
         shot = run_shot(prog, ScriptedStream([0.3]))
         assert shot.records[0].outcome == 0 and len(calls) == 2
 
+    def test_a_deterministic_value_measurement_costs_one_apply2_call(self, monkeypatch):
+        # The projection that decides the outcome is certain is the post-measurement state.
+        calls = []
+
+        def counting_apply2(op, state):
+            calls.append(op)
+            return core.apply2(op, state)
+
+        monkeypatch.setattr(engine, "apply2", counting_apply2)
+        prog = program(BasisPreparation(index=0), MeasureValue(particle="A"))
+        shot = run_shot(prog, ScriptedStream([]))
+        assert len(calls) == 1
+        (record,) = shot.records
+        assert (record.outcome, record.probability, record.projected_norm) == (0, 1.0, 1.0)
+        assert record.post_state == shot.final_state == core.basis_state(0)
+
     def test_run_shot_stores_no_nodes(self):
         prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureValue(particle="A"))
         tree = engine._BranchTree(prog, budget=0)
