@@ -358,6 +358,14 @@ def check_flip_toggle() -> CheckResult:
     return _check("flip-toggle", worst, tol)
 
 
+def _program(source: str) -> circuit.CircuitProgram:
+    """One of the groups' fixed programs, which must parse cleanly."""
+    program, diags = circuit.parse(source)
+    if program is None or diags:
+        raise ValueError(f"check program does not parse: {'; '.join(d.render() for d in diags)}")
+    return program
+
+
 def check_measurement_theorems() -> CheckResult:
     """Projection identities, post-measurement separability, and the correlation law."""
     worst = 0.0
@@ -374,16 +382,14 @@ def check_measurement_theorems() -> CheckResult:
     for cls in ("phi", "psi"):
         for sign in (1, -1):
             source = f"prepare bell {cls} {'+' if sign == 1 else '-'}\nmeasure value A\nmeasure value B\n"
-            program, diags = circuit.parse(source)
-            assert program is not None and not diags
+            program = _program(source)
             stats = engine.run(program, shots=200, seed=11)
             allowed = {"A=0,B=0", "A=1,B=1"} if cls == "phi" else {"A=0,B=1", "A=1,B=0"}
             if set(stats.counts) - allowed:
                 return CheckResult(
                     "measurement-theorems", False, f"correlation law violated for {cls}: {stats.counts}"
                 )
-    program, diags = circuit.parse("prepare bell phi +\nmeasure value A\n")
-    assert program is not None
+    program = _program("prepare bell phi +\nmeasure value A\n")
     for index in range(50):
         shot = engine.run_shot(program, engine.derive_rng(3, index))
         if bell.separability_defect(shot.final_state) > bell.EPS_SEP:
@@ -393,11 +399,8 @@ def check_measurement_theorems() -> CheckResult:
 
 def check_deterministic_branches() -> CheckResult:
     """Deterministic measurements consume no randomness and leave goldens stable."""
-    with_det, _ = circuit.parse(
-        "prepare bell psi +\nmeasure relative\nmeasure value A\n"
-    )
-    without_det, _ = circuit.parse("prepare bell psi +\nmeasure value A\n")
-    assert with_det is not None and without_det is not None
+    with_det = _program("prepare bell psi +\nmeasure relative\nmeasure value A\n")
+    without_det = _program("prepare bell psi +\nmeasure value A\n")
     for index in range(200):
         full = engine.run_shot(with_det, engine.derive_rng(5, index))
         bare = engine.run_shot(without_det, engine.derive_rng(5, index))
@@ -413,8 +416,7 @@ def check_deterministic_branches() -> CheckResult:
 
 def check_statistics() -> CheckResult:
     """Empirical frequencies sit within 4 sigma of the Born-rule values."""
-    program, _ = circuit.parse("prepare bell phi +\nmeasure value A\nmeasure value B\n")
-    assert program is not None
+    program = _program("prepare bell phi +\nmeasure value A\nmeasure value B\n")
     shots = 20000
     stats = engine.run(program, shots=shots, seed=20)
     freq = stats.frequencies
@@ -424,8 +426,7 @@ def check_statistics() -> CheckResult:
         return CheckResult("statistics", False, f"mixed outcomes appeared: {stats.counts}")
     worst = max(abs(freq.get("A=0,B=0", 0.0) - 0.5), abs(freq.get("A=1,B=1", 0.0) - 0.5))
 
-    program, _ = circuit.parse("prepare bell phi + s0=0.6\nmeasure value A\n")
-    assert program is not None
+    program = _program("prepare bell phi + s0=0.6\nmeasure value A\n")
     stats = engine.run(program, shots=shots, seed=21)
     p0 = 0.36
     sigma4_p = 4 * math.sqrt(p0 * (1 - p0) / shots)
@@ -433,12 +434,12 @@ def check_statistics() -> CheckResult:
     if dev > sigma4_p:
         return CheckResult("statistics", False, f"freq(A=0) off by {dev:.4f} (allowed {sigma4_p:.4f})")
 
-    program, _ = circuit.parse("prepare bell-random-sign phi\napply flip A\nmeasure relative\n")
-    assert program is not None
+    program = _program("prepare bell-random-sign phi\napply flip A\nmeasure relative\n")
     stats = engine.run(program, shots=10000, seed=22, keep_results=True)
     if stats.counts != {"rel=Different": 10000}:
         return CheckResult("statistics", False, f"flip did not force Different: {stats.counts}")
-    assert stats.results is not None
+    if stats.results is None:
+        return CheckResult("statistics", False, "run kept no per-shot results")
     signs = [0, 0]
     for shot in stats.results:
         classified = bell.classify(shot.final_state)
@@ -459,10 +460,7 @@ def check_statistics() -> CheckResult:
 
 def check_reproducibility() -> CheckResult:
     """Identical (program, shots, seed) gives identical statistics, equal to a shot-by-shot replay."""
-    program, _ = circuit.parse(
-        "prepare bell-random-sign psi s0=0.8\napply bellop\nmeasure value B\nmeasure relative\n"
-    )
-    assert program is not None
+    program = _program("prepare bell-random-sign psi s0=0.8\napply bellop\nmeasure value B\nmeasure relative\n")
     first = engine.run(program, shots=600, seed=33, keep_results=True)
     second = engine.run(program, shots=600, seed=33, keep_results=True)
     if first != second:

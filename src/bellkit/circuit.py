@@ -69,6 +69,9 @@ MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers
 
 BASIS_LABELS = ("00", "01", "10", "11")
 _TOKEN_RE = re.compile(r"\S+")
+# Numbers are ASCII only: int() and float() alone would also take other scripts' digits and `_`.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_REAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 # Source position (line, column), both 1-based; excluded from equality so
 # that parse(format_program(p)) == p holds regardless of layout.
@@ -160,6 +163,16 @@ class CircuitProgram:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
+def ascii_integer(text: str) -> Optional[int]:
+    """`text` as an int if it is ASCII decimal digits after an optional `-`, else None."""
+    if _INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 @dataclass(frozen=True)
 class _Token:
     text: str
@@ -194,21 +207,17 @@ class _LineReader:
         return False
 
     def real(self, token: _Token, what: str) -> Optional[float]:
-        try:
-            value = float(token.text)
-        except ValueError:
-            value = math.nan
+        value = float(token.text) if _REAL_RE.fullmatch(token.text) else math.nan
         if not math.isfinite(value):
             self.error(token.column, f"malformed number for {what}: {token.text!r}")
             return None
         return value
 
     def integer(self, token: _Token, what: str) -> Optional[int]:
-        try:
-            return int(token.text, 10)
-        except ValueError:
+        value = ascii_integer(token.text)
+        if value is None:
             self.error(token.column, f"malformed number for {what}: {token.text!r}")
-            return None
+        return value
 
     def particle(self, token: _Token) -> Optional[Particle]:
         if token.text in ("A", "B"):
@@ -415,7 +424,8 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
         diags.append(Diagnostic(1, 1, "error", "missing prepare statement"))
     if diags:
         return None, diags
-    assert preparation is not None
+    if preparation is None:  # a prepare line without a preparation has reported an error
+        raise RuntimeError("parse found no preparation and reported no error")
     return (
         CircuitProgram(
             preparation=preparation,

@@ -21,6 +21,7 @@ from .circuit import (
     CircuitProgram,
     MeasureRelative,
     MeasureValue,
+    ascii_integer,
     parse,
     validate,
 )
@@ -45,21 +46,22 @@ from .engine import (
 )
 
 
+def _integer(text: str) -> int:
+    value = ascii_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
 def _seed_value(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _integer(text)
     if not 0 <= value <= MAX_SEED:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value

@@ -20,13 +20,15 @@ stores at most NODE_BUDGET nodes and runs the branches past them unstored.
 `run` computes the same ``PCG64(SeedSequence([s, i]))`` draws for blocks of
 shots at once (`draws`, numpy integer arithmetic, bit-exact with
 ``Generator.random()``) once a run has enough shots to repay a block's fixed
-cost; `derive_rng` stays the reference and shorter runs use it per shot.
+cost, and walks each block down the tree a level at a time: the shots at a
+node split by one array comparison, and each child is built once for all of
+them.  `derive_rng` and the one-shot `walk` stay the reference; shorter runs
+use them per shot.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import operator
 from collections import namedtuple
@@ -84,7 +86,8 @@ __all__ = [
 EPS_DET = 1e-9  # outcome probabilities within this of 0 or 1 are deterministic
 
 NODE_BUDGET = 4096  # branch-tree nodes one run stores: a memory bound, not a knob
-_BLOCK_SHOTS = 1024  # shots whose draws `run` computes at once: bounds a block's memory
+_BLOCK_BYTES = 2**20  # bounds the working set of one block's `draws` call
+_DRAWS_BYTES = 256  # that working set per shot, besides 8 bytes per draw (tracemalloc, numpy 2.4)
 _BULK_MIN_SHOTS = 24  # below this, a block's fixed cost exceeds per-shot derive_rng
 _BULK_MAX_DRAWS = 64  # more steps that can draw run per shot: a block computes all k rows
 _P_PLUS_SIGN = 0.5  # a random-sign preparation takes sign + when its draw is below this
@@ -277,35 +280,46 @@ def derive_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shot_index])))
 
 
-# numpy's SeedSequence (hashmix/mix over a 4-word pool) and PCG64 (128-bit LCG,
-# XSL-RR output) constants.  Each hashmix call t multiplies by the t-th power
-# of its multiplier, so call t's constants are fixed: _HASH_A[t], _HASH_A[t+1].
+# numpy's SeedSequence (hashmix/mix over a 4-word pool of uint32) and PCG64
+# (128-bit LCG, XSL-RR output) constants.  Each hashmix call t multiplies by
+# the t-th power of its multiplier, so call t's constants are fixed: hash
+# constants t and t + 1, held here as columns that broadcast over shots.
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _POOL = 4
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    return tuple(_U(init * pow(mult, t, 2**32) % 2**32) for t in range(count))
+def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply columns of hashmix calls first..first+count-1."""
+    consts = np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(first, first + count + 1)], np.uint32)
+    return consts[:-1, None], consts[1:, None]
 
 
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL + 1)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
-_MIX_L, _MIX_R = _U(0xCA01F9DD), _U(0x4973F715)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)  # hashmix calls 0..3: one per entropy word
+# Mixing round `src` hashes pool[src] once for each other word, calls 4 + 3 * src onward.
+_ROUNDS = tuple(
+    (src, np.array([dst for dst in range(_POOL) if dst != src]), *_hash_constants(_INIT_A, _MULT_A, _POOL + 3 * src, 3))
+    for src in range(_POOL)
+)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 2 * _POOL)  # generate_state's 8 uint32 words
+_OUTPUT_SOURCE = np.arange(2 * _POOL) % _POOL  # ... taken from the pool words in turn
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MULT_HI, _MULT_LO = _U(_PCG_MULT >> 64), _U(_PCG_MULT & (2**64 - 1))
 _MULT_LO_0, _MULT_LO_1 = _U(_PCG_MULT & 0xFFFFFFFF), _U(_PCG_MULT >> 32 & 0xFFFFFFFF)
 _TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53, as in Generator.random()
 
 
-def _hashmix(value: np.ndarray, consts: tuple, t: int) -> np.ndarray:
-    value = ((value ^ consts[t]) * consts[t + 1]) & _M32
-    return value ^ (value >> _U(16))
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One hashmix call per row of the constant columns, in uint32 (which wraps mod 2**32)."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_L * x - _MIX_R * y) & _M32
-    return result ^ (result >> _U(16))
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
 
 
 def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -323,37 +337,34 @@ def draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """The first `k` draws of shots start..stop-1, as a (k, stop - start) array.
 
     Column j equals ``derive_rng(seed, start + j).random(k)`` bit for bit: the
-    same SeedSequence entropy mixing and ``generate_state(4, uint64)``, PCG64
-    seeding and steps, and ``(x >> 11) * 2**-53``, in uint64 arrays.  Words
-    past an index's own count are zero, as SeedSequence pads them, so one
-    block may straddle 2**32.
+    same SeedSequence entropy mixing and ``generate_state(4, uint64)`` (one row
+    per pool word, one column per shot), PCG64 seeding and steps, and
+    ``(x >> 11) * 2**-53``.  Words past an index's own count are zero, as
+    SeedSequence pads them, so one block may straddle 2**32.
     """
     if not (0 <= seed <= MAX_SEED and 0 <= start <= stop <= 2**64):
         raise ValueError(f"draws needs a 64-bit seed and shot indices, got {seed}, {start}..{stop}")
     n = stop - start
     index = np.arange(n, dtype=np.uint64) + _U(start % 2**64)  # start is 2**64 only when n is 0
     seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(n, word, dtype=np.uint64) for word in seed_words] + [index & _M32, index >> _U(32)]
-    entropy += [np.zeros(n, dtype=np.uint64)] * (_POOL - len(entropy))
-    with np.errstate(over="ignore"):
-        pool = [_hashmix(entropy[j], _HASH_A, j) for j in range(_POOL)]
-        t = _POOL
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, t))
-                    t += 1
-        words = [_hashmix(pool[j % _POOL], _HASH_B, j) for j in range(2 * _POOL)]
-        state_hi, state_lo, seq_hi, seq_lo = (words[2 * j] | (words[2 * j + 1] << _U(32)) for j in range(4))
-        # PCG64 seeding: inc = seq << 1 | 1; state = 0, step, += initstate, step.
-        inc_hi, inc_lo = (seq_hi << _U(1)) | (seq_lo >> _U(63)), (seq_lo << _U(1)) | _U(1)
-        lo = inc_lo + state_lo
-        hi, lo = _lcg_step(inc_hi + state_hi + (lo < state_lo), lo, inc_hi, inc_lo)
-        out = np.empty((k, n))
-        for row in range(k):
-            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-            x, rot = hi ^ lo, hi >> _U(58)
-            out[row] = ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = index  # the low word: assigning to uint32 drops the high one
+    pool[len(seed_words) + 1] = index >> _U(32)
+    pool = _hashmix(pool, *_ENTROPY_HASH)
+    for src, dst, xor, mult in _ROUNDS:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, mult))
+    words = _hashmix(pool[_OUTPUT_SOURCE], *_OUTPUT_HASH).astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << _U(32))
+    # PCG64 seeding: inc = seq << 1 | 1; state = 0, step, += initstate, step.
+    inc_hi, inc_lo = (seq_hi << _U(1)) | (seq_lo >> _U(63)), (seq_lo << _U(1)) | _U(1)
+    lo = inc_lo + state_lo
+    hi, lo = _lcg_step(inc_hi + state_hi + (lo < state_lo), lo, inc_hi, inc_lo)
+    out = np.empty((k, n))
+    for row in range(k):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U(58)
+        out[row] = ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)
     out *= _TO_UNIT
     return out
 
@@ -413,10 +424,11 @@ def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
 # Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
 # A node keeps no first-outcome projection: each of its children is built only once.
 _Node = namedtuple("_Node", ["p", "at", "children"])
+_Leaf = tuple[ShotResult, str]  # a shot's result and its counts key
 
 
 class _BranchTree:
-    """One program's lazily built branch tree; leaves are (ShotResult, key)."""
+    """One program's lazily built branch tree; leaves are `_Leaf`s."""
 
     def __init__(self, program: CircuitProgram, budget: int) -> None:
         self.program = program
@@ -450,50 +462,80 @@ class _BranchTree:
             state, records = self._step(action, state, records, None, first)  # draws nothing
         return ShotResult(records=records, final_state=state), outcome_key(records)
 
-    def walk(self, rng: Optional[RandomStream]) -> tuple[ShotResult, str]:
+    def _child(self, node: _Node, branch: int, draw: float):
+        """The child of `node` on `branch`, which `draw` took; built and stored on first visit."""
+        child = node.children[branch]
+        if child is None:
+            position, state, records = node.at
+            replay = SimpleNamespace(random=lambda: draw)
+            child = self._build(
+                position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None, None))
+            )
+            if self.size < self.budget:  # once full, never stores again
+                node.children[branch] = child
+                self.size += 1
+        return child
+
+    def walk(self, rng: Optional[RandomStream]) -> _Leaf:
         """Take one shot from the root to its leaf, drawing from `rng` at each inner node."""
         node = self.root
         while isinstance(node, _Node):
             draw = rng.random()
-            branch = 0 if draw < node.p else 1
-            child = node.children[branch]
-            if child is None:
-                position, state, records = node.at
-                replay = SimpleNamespace(random=lambda: draw)  # the draw taken just above
-                child = self._build(
-                    position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None, None))
-                )
-                if self.size < self.budget:  # once full, never stores again
-                    node.children[branch] = child
-                    self.size += 1
-            node = child
+            node = self._child(node, 0 if draw < node.p else 1, draw)
         return node
 
+    def walk_block(self, block: np.ndarray) -> list[tuple[_Leaf, np.ndarray]]:
+        """Take every column of `block` (one shot each, row d its draw at depth d) to its leaf.
 
-class _Row:
-    """One shot's precomputed draws as a RandomStream; asking for more is an error."""
+        The walk goes a level at a time: the ascending columns that reach a node
+        split by the same ``draw < node.p`` as `walk`, and a child is built once
+        for all of them.  Returns each reached leaf with its columns, ordered by
+        first column, so that counts keep the order in which shots reach keys.
+        """
+        rows, n = block.shape
+        level = [(self.root, np.arange(n))]
+        leaves = []
+        for row in block:
+            reached = []
+            for node, taken in level:
+                below = row[taken] < node.p
+                for branch, side in enumerate((taken[below], taken[~below])):
+                    if len(side):
+                        child = self._child(node, branch, float(row[side[0]]))
+                        (reached if isinstance(child, _Node) else leaves).append((child, side))
+            level = reached
+            if not level:
+                return sorted(leaves, key=lambda leaf: leaf[1][0])
+        raise RuntimeError(f"a path through the branch tree needs more than the {rows} draws of its block")
 
-    __slots__ = ("values", "taken")
 
-    def __init__(self, values: list[float]) -> None:
-        self.values, self.taken = values, 0
-
-    def random(self) -> float:
-        if self.taken == len(self.values):
-            raise RuntimeError(f"a shot asked for more than the {self.taken} draws of its block row")
-        self.taken += 1
-        return self.values[self.taken - 1]
+def _block_shots(k: int) -> int:
+    """Shots per block of `k` draws each, so that one `draws` call stays within _BLOCK_BYTES."""
+    return _BLOCK_BYTES // (_DRAWS_BYTES + 8 * k)
 
 
-def _block_streams(seed: int, shots: int, k: int) -> Iterator[RandomStream]:
-    """The streams of shots 0..shots-1, `k` draws each, computed _BLOCK_SHOTS at a time."""
-    for start in range(0, shots, _BLOCK_SHOTS):
-        block = draws(seed, start, min(start + _BLOCK_SHOTS, shots), k)
-        if start == 0 and not np.array_equal(block[:, 0], derive_rng(seed, 0).random(k)):
-            # This numpy's Generator.random() no longer matches `draws`: keep the contract.
-            yield from (derive_rng(seed, index) for index in range(shots))
+def _leaf_groups(tree: _BranchTree, shots: int, seed: int) -> Iterator[tuple[_Leaf, int, object]]:
+    """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
+
+    Runs below _BULK_MIN_SHOTS, over _BULK_MAX_DRAWS, or on a numpy whose
+    ``Generator.random()`` differs from `draws` walk each shot with `derive_rng`.
+    """
+    if not isinstance(tree.root, _Node):  # no shot draws: no stream is derived
+        yield tree.root, shots, slice(None)
+        return
+    k = tree.max_draws
+    if shots >= _BULK_MIN_SHOTS and k <= _BULK_MAX_DRAWS:
+        block_shots = _block_shots(k)
+        for start in range(0, shots, block_shots):
+            block = draws(seed, start, min(start + block_shots, shots), k)
+            if start == 0 and not np.array_equal(block[:, 0], derive_rng(seed, 0).random(k)):
+                break  # this numpy's Generator.random() no longer matches `draws`: keep the contract
+            for leaf, columns in tree.walk_block(block):
+                yield leaf, len(columns), columns + start
+        else:
             return
-        yield from map(_Row, block.T.tolist())
+    for index in range(shots):
+        yield tree.walk(derive_rng(seed, index)), 1, index
 
 
 def run_shot(program: CircuitProgram, rng: RandomStream) -> ShotResult:
@@ -536,22 +578,15 @@ def run(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     tree = _BranchTree(program, NODE_BUDGET)
-    if not isinstance(tree.root, _Node):  # no shot draws: no stream is derived
-        streams = itertools.repeat(None, shots)
-    elif shots >= _BULK_MIN_SHOTS and tree.max_draws <= _BULK_MAX_DRAWS:
-        streams = _block_streams(seed, shots, tree.max_draws)
-    else:
-        streams = (derive_rng(seed, index) for index in range(shots))
     counts: dict[str, int] = {}
-    results: list[ShotResult] = []
-    for stream in streams:
-        shot, key = tree.walk(stream)
-        counts[key] = counts.get(key, 0) + 1
+    slots = np.empty(shots, dtype=object) if keep_results else None
+    for (shot, key), count, index in _leaf_groups(tree, shots, seed):
+        counts[key] = counts.get(key, 0) + count
         if keep_results:
-            results.append(shot)
+            slots[index] = shot
     return ShotStatistics(
         shots=shots,
         seed=seed,
         counts=counts,
-        results=tuple(results) if keep_results else None,
+        results=tuple(slots.tolist()) if keep_results else None,
     )

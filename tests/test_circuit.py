@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from helpers import random_program
 
 from bellkit.bell import BellDescriptor
@@ -216,6 +217,30 @@ class TestParseErrors:
         expected = "malformed number for seed: out of unsigned 64-bit range"
         assert parse_errors(f"prepare basis 00\nseed {2**64}\n")[0] == (2, 6, "error", expected)
         assert parse_errors("prepare basis 00\nseed -1\n")[0] == (2, 6, "error", expected)
+
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "1_000", "+3", "\uff11\uff12", "1e3", "0x10"])
+    def test_integers_are_ascii_digits_only(self, text):
+        for keyword in ("shots", "seed"):
+            assert parse_errors(f"prepare basis 00\n{keyword} {text}\n")[0] == (
+                2, len(keyword) + 2, "error", f"malformed number for {keyword}: {text!r}",
+            )
+
+    @pytest.mark.parametrize("text", ["\u0660.5", "0.\u0665", "1_0.5", "0.5\u0663", "0x1p-1", "Infinity", "nan"])
+    def test_reals_are_ascii_decimals_only(self, text):
+        assert parse_errors(f"prepare raw {text} 0 0 0 0 0 0 0\n")[0] == (
+            1, 13, "error", f"malformed number for amplitude: {text!r}",
+        )
+        assert parse_errors(f"prepare bell phi + s0={text}\n")[0] == (
+            1, 20, "error", f"malformed number for s0: {text!r}",
+        )
+
+    def test_ascii_number_forms_still_parse(self):
+        program = parse_ok(
+            "prepare raw +1 -0 0.0 .0 0. 0e0 0E-5 -1.5e+2\napply raw A 1 0 0 0 0 0 1 0\nshots 0012\nseed 00\n"
+        )
+        assert program.preparation.state == TwoQubitState(1, 0, 0, -150j)
+        assert (program.shots, program.seed) == (12, 0)
+        assert parse_ok("prepare basis 00\nshots -5\n").shots == -5  # validate rejects it, with its own diagnostic
 
     def test_duplicate_statements(self):
         got = parse_errors(

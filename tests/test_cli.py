@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, reproducibility."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from helpers import random_program
 
 import bellkit
-from bellkit import circuit, cli, engine
+from bellkit import checks, circuit, cli, engine
 from bellkit.bell import classify
 from bellkit.engine import RelativeBit, derive_rng, run, run_shot
 
@@ -289,6 +290,17 @@ class TestRunFailures:
         code, _, _ = invoke(capsys, argv)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--shots", "\u0661\u0662"), ("--shots", "1_000"), ("--shots", "+3"), ("--seed", "+3"), ("--seed", "\u0667"),
+         ("--seed", "1_0"), ("--workers", "\u0662")],
+    )
+    def test_non_ascii_integer_options_are_usage_errors(self, tmp_path, capsys, option, text):
+        path = write(tmp_path, "ok.bk", SAMPLED)
+        code, out, err = invoke(capsys, ["run", path, option, text])
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument {option}: expected an integer, got {text!r}\n")
+
     def test_help_exits_0(self, capsys):
         code, out, _ = invoke(capsys, ["--help"])
         assert code == 0 and "run" in out and "sweep" in out
@@ -371,3 +383,30 @@ class TestEntryPoint:
         ]
         assert [done.returncode for done in outputs] == [0, 0]
         assert outputs[0].stdout and outputs[1].stdout == outputs[0].stdout
+
+    def test_check_and_parse_errors_under_the_optimized_interpreter(self):
+        # The former asserts in checks.py and circuit.parse: `check` and the parse error paths under -O.
+        code = (
+            "from bellkit import cli, circuit\n"
+            "for source in ('prepare basis 5\\n', 'measure value A\\n'):\n"
+            "    print(circuit.parse(source))\n"
+            "raise SystemExit(cli.main(['check']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        parsed = [repr(circuit.parse(source)) for source in ("prepare basis 5\n", "measure value A\n")]
+        lines = done.stdout.splitlines()
+        assert lines[:2] == parsed and parsed[0].startswith("(None, [Diagnostic(")
+        assert len(lines) == 2 + len(checks.GROUPS) and all(line.startswith("PASS ") for line in lines[2:])
+
+    def test_library_has_no_assert_statements(self):
+        # python -O strips asserts, so a check written as one vanishes.
+        package = Path(bellkit.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

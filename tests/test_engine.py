@@ -380,18 +380,47 @@ class TestBranchTree:
         assert tree.size == engine.NODE_BUDGET
         assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=9, deadline=None, derandomize=True, database=None)
     @given(
         program_seed=st.integers(0, 2**32 - 1),
-        extra=st.integers(1, 64),
+        blocks=st.sampled_from([(1, -1), (1, 1), (2, 1)]),
         seed=st.integers(0, engine.MAX_SEED),
     )
-    def test_run_across_a_block_boundary_equals_replay(self, program_seed, extra, seed):
-        # test_run_equals_per_shot_replay covers both sides of the bulk cutover; this crosses a block.
+    def test_run_across_a_block_boundary_equals_replay(self, program_seed, blocks, seed):
+        # test_run_equals_per_shot_replay covers both sides of the bulk cutover; this crosses blocks.
         assert 1 < engine._BULK_MIN_SHOTS <= 64
         prog = random_program(np.random.default_rng(program_seed))
-        shots = engine._BLOCK_SHOTS + extra
-        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+        count, offset = blocks
+        shots = count * engine._block_shots(engine._BranchTree(prog, 0).max_draws) + offset
+        stats, replay = run(prog, shots, seed, keep_results=True), _replay(prog, shots, seed)
+        assert stats == replay and list(stats.counts) == list(replay.counts)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        shots=st.integers(1, 64),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_counts_keep_first_occurrence_order(self, program_seed, shots, seed):
+        # Dict equality ignores order; the counts table of a text report does not.
+        prog = random_program(np.random.default_rng(program_seed))
+        assert list(run(prog, shots, seed).counts) == list(_replay(prog, shots, seed).counts)
+
+    def test_run_past_the_node_budget_across_blocks_equals_replay(self, monkeypatch):
+        # The program of test_run_past_the_node_budget_equals_replay, in blocks of 150 shots.
+        step = "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n"
+        prog, diags = circuit.parse("prepare bell-random-sign phi\n" + step * 10)
+        assert prog is not None and not diags
+        k = engine._BranchTree(prog, 0).max_draws
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 150 * (engine._DRAWS_BYTES + 8 * k))
+        block, shots, seed = engine._block_shots(k), 400, 9
+        assert block == 150
+        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+        for start in range(0, shots, block):
+            tree.walk_block(engine.draws(seed, start, min(start + block, shots), k))
+        assert tree.size == engine.NODE_BUDGET
+        stats, replay = run(prog, shots, seed, keep_results=True), _replay(prog, shots, seed)
+        assert stats == replay and list(stats.counts) == list(replay.counts)
 
     def test_program_past_the_bulk_draw_bound_runs_per_shot(self, monkeypatch):
         def no_blocks(*args):
@@ -411,12 +440,24 @@ class TestBranchTree:
         monkeypatch.setattr(engine, "draws", lambda seed, start, stop, k: np.full((k, stop - start), 0.25))
         assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
 
-    def test_walk_past_the_end_of_a_row_raises(self):
+    def test_walk_block_past_its_last_row_raises(self):
         prog = program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A"))
         tree = engine._BranchTree(prog, engine.NODE_BUDGET)
         with pytest.raises(RuntimeError, match="more than the 1 draws"):
-            tree.walk(engine._Row([0.3]))
-        assert tree.walk(engine._Row([0.3, 0.3]))[1] == "A=0"
+            tree.walk_block(np.full((1, 3), 0.3))
+        ((leaf, columns),) = tree.walk_block(np.full((2, 3), 0.3))
+        assert leaf[1] == "A=0" and columns.tolist() == [0, 1, 2]
+
+    def test_walk_block_splits_columns_like_walk(self):
+        # A sign draw below 0.5 gives +, a second draw below p(A=0) = 0.36 gives A=0; a draw equal to p is not below.
+        prog = program(BellRandomSignPreparation(bell_class="phi", s0=0.6), MeasureValue(particle="A"))
+        block = np.array([[0.1, 0.9, 0.2, 0.7, 0.5], [0.8, 0.3, 0.1, 0.6, 0.36]])
+        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+        got = [(leaf[1], columns.tolist()) for leaf, columns in tree.walk_block(block)]
+        assert got == [("A=1", [0]), ("A=0", [1]), ("A=0", [2]), ("A=1", [3, 4])]
+        for column in range(block.shape[1]):
+            walked = engine._BranchTree(prog, 0).walk(ScriptedStream(block[:, column].tolist()))
+            assert walked[1] == next(key for key, columns in got if column in columns)
 
     def test_a_drawn_value_measurement_costs_two_apply2_calls(self, monkeypatch):
         # One apply2 decides the node's probability, one projects the drawn branch.
