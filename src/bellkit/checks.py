@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -414,6 +414,22 @@ def check_deterministic_branches() -> CheckResult:
     return CheckResult("deterministic-branches", True, "200/200 shots agree")
 
 
+def _bell_sign_counts(results: tuple[engine.ShotResult, ...]) -> Optional[list[int]]:
+    """Shots ending in a Bell state of sign +1 and of sign -1, or None if any does not.
+
+    Shots at one branch-tree leaf share its final state: each is classified once.
+    """
+    finals = [shot.final_state for shot in results]
+    weights = Counter(map(id, finals))
+    signs = [0, 0]
+    for state in {id(state): state for state in finals}.values():
+        classified = bell.classify(state)
+        if classified.kind != "bell":
+            return None
+        signs[0 if classified.bell.sign == 1 else 1] += weights[id(state)]
+    return signs
+
+
 def check_statistics() -> CheckResult:
     """Empirical frequencies sit within 4 sigma of the Born-rule values."""
     program = _program("prepare bell phi +\nmeasure value A\nmeasure value B\n")
@@ -440,12 +456,9 @@ def check_statistics() -> CheckResult:
         return CheckResult("statistics", False, f"flip did not force Different: {stats.counts}")
     if stats.results is None:
         return CheckResult("statistics", False, "run kept no per-shot results")
-    signs = [0, 0]
-    for shot in stats.results:
-        classified = bell.classify(shot.final_state)
-        if classified.kind != "bell":
-            return CheckResult("statistics", False, "final state left the Bell family")
-        signs[0 if classified.bell.sign == 1 else 1] += 1
+    signs = _bell_sign_counts(stats.results)
+    if signs is None:
+        return CheckResult("statistics", False, "final state left the Bell family")
     sign_dev = abs(signs[0] / 10000 - 0.5)
     if sign_dev > 4 * math.sqrt(0.25 / 10000):
         return CheckResult("statistics", False, f"random signs unbalanced: {signs}")

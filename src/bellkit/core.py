@@ -7,7 +7,10 @@ operators act on a single qubit and are lifted to the pair with `lift_a`
 and `lift_b`; the entangling change of basis between the computational and
 Bell bases is `bell_operator`.
 
-All values are immutable; every function is pure.
+All values are immutable; every function is pure.  Constructors store each
+amplitude as a finite Python `complex` (ints, floats and numpy scalars are
+converted) and raise `ValueError` naming the first non-finite field; an
+operator stores a read-only complex copy of a finite matrix of its shape.
 """
 
 from __future__ import annotations
@@ -61,11 +64,21 @@ INV_SQRT2 = math.sqrt(0.5)
 Particle = Literal["A", "B"]
 
 
-def _as_amplitude(value: complex, label: str) -> complex:
-    z = complex(value)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{label} must be finite, got {z!r}")
-    return z
+def _store_amplitudes(obj, names: tuple[str, ...]) -> None:
+    """Store each named field of `obj` as a complex; ValueError names the first non-finite one."""
+    for name in names:
+        z = complex(getattr(obj, name))
+        if not cmath.isfinite(z):
+            raise ValueError(f"{name} must be finite, got {z!r}")
+        object.__setattr__(obj, name, z)
+
+
+def _norm(g00: complex, g01: complex, g10: complex, g11: complex) -> float:
+    """Euclidean norm of four amplitudes, summed left to right; inf when a square overflows."""
+    try:
+        return math.sqrt(abs(g00) ** 2 + abs(g01) ** 2 + abs(g10) ** 2 + abs(g11) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,9 @@ class SingleQubitState:
     amp1: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp0", _as_amplitude(self.amp0, "amp0"))
-        object.__setattr__(self, "amp1", _as_amplitude(self.amp1, "amp1"))
+        a0, a1 = self.amp0, self.amp1
+        if not (type(a0) is complex and type(a1) is complex and cmath.isfinite(a0) and cmath.isfinite(a1)):
+            _store_amplitudes(self, ("amp0", "amp1"))
 
     @property
     def vector(self) -> np.ndarray:
@@ -88,8 +102,7 @@ class SingleQubitState:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "SingleQubitState":
-        v = np.asarray(vec, dtype=complex).reshape(2)
-        return cls(complex(v[0]), complex(v[1]))
+        return cls(*np.asarray(vec, dtype=complex).reshape(2).tolist())
 
 
 @dataclass(frozen=True)
@@ -109,9 +122,16 @@ class TwoQubitState:
     subnormalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("g00", "g01", "g10", "g11"):
-            object.__setattr__(self, name, _as_amplitude(getattr(self, name), name))
-        object.__setattr__(self, "subnormalized", abs(self.norm() - 1.0) > EPS_NORM)
+        g00, g01, g10, g11 = self.g00, self.g01, self.g10, self.g11
+        n = math.inf
+        if type(g00) is complex and type(g01) is complex and type(g10) is complex and type(g11) is complex:
+            n = _norm(g00, g01, g10, g11)
+        # A finite norm implies finite amplitudes; otherwise coerce and check each field.
+        if not n < math.inf:
+            _store_amplitudes(self, ("g00", "g01", "g10", "g11"))
+            n = _norm(self.g00, self.g01, self.g10, self.g11)
+        object.__setattr__(self, "subnormalized", abs(n - 1.0) > EPS_NORM)
+        object.__setattr__(self, "_norm_value", n)  # not a field: no part of ==, hash or repr
 
     @property
     def vector(self) -> np.ndarray:
@@ -122,14 +142,11 @@ class TwoQubitState:
         return (self.g00, self.g01, self.g10, self.g11)
 
     def norm(self) -> float:
-        return math.sqrt(
-            abs(self.g00) ** 2 + abs(self.g01) ** 2 + abs(self.g10) ** 2 + abs(self.g11) ** 2
-        )
+        return self._norm_value
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "TwoQubitState":
-        v = np.asarray(vec, dtype=complex).reshape(4)
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]), complex(v[3]))
+        return cls(*np.asarray(vec, dtype=complex).reshape(4).tolist())
 
 
 def basis_state(index: int) -> TwoQubitState:
@@ -151,7 +168,7 @@ class _MatrixOperator:
         m = np.array(matrix, dtype=complex)
         if m.shape != self._shape:
             raise ValueError(f"expected a {self._shape[0]}x{self._shape[1]} matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():
             raise ValueError("operator entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "_matrix", m)
@@ -174,7 +191,8 @@ class _MatrixOperator:
         return bool(np.array_equal(self._matrix, other._matrix))
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._matrix.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal.
+        return hash((type(self).__name__, (self._matrix + 0.0).tobytes()))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -247,22 +265,6 @@ def bell_operator() -> TwoQubitOperator:
     return _BELL_OPERATOR
 
 
-_PROJECTORS: dict[tuple[str, int], TwoQubitOperator] = {
-    (particle, value): TwoQubitOperator(np.kron(p, _EYE2) if particle == "A" else np.kron(_EYE2, p))
-    for value, p in enumerate(np.diag(d).astype(complex) for d in ([1, 0], [0, 1]))
-    for particle in ("A", "B")
-}
-
-
-def projector(particle: Particle, value: int) -> TwoQubitOperator:
-    """Projector onto the subspace where `particle` has the given bit value (one of four constants)."""
-    if value not in (0, 1):
-        raise ValueError(f"projector value must be 0 or 1, got {value}")
-    if particle not in ("A", "B"):
-        raise ValueError(f"particle must be 'A' or 'B', got {particle!r}")
-    return _PROJECTORS[particle, value]
-
-
 def tensor(a: SingleQubitState, b: SingleQubitState) -> TwoQubitState:
     """Product state with g(ij) = a_i * b_j; normalized iff both inputs are."""
     return TwoQubitState(
@@ -274,24 +276,45 @@ def tensor(a: SingleQubitState, b: SingleQubitState) -> TwoQubitState:
 
 
 def apply1(op: SingleQubitOperator, s: SingleQubitState) -> SingleQubitState:
-    return SingleQubitState.from_vector(op.matrix @ s.vector)
+    return SingleQubitState(*(op.matrix @ s.vector).tolist())
 
 
 def apply2(op: TwoQubitOperator, s: TwoQubitState) -> TwoQubitState:
-    return TwoQubitState.from_vector(op.matrix @ s.vector)
+    return TwoQubitState(*(op.matrix @ s.vector).tolist())
 
 
 def lift_a(op: SingleQubitOperator) -> TwoQubitOperator:
     """Act with `op` on particle A and leave B untouched.
 
-    The lifted matrix carries op(i, j) at the entries (2i+k, 2j+k), k in {0,1}.
+    The lifted matrix carries op(i, j) at the entries (2i+k, 2j+k), k in {0,1}:
+    the broadcast product op[i, j] * I[k, l] at (2i+k, 2j+l), which is the
+    elementwise multiply that np.kron(op, I) performs, bit for bit.
     """
-    return TwoQubitOperator(np.kron(op.matrix, _EYE2))
+    return TwoQubitOperator((op.matrix[:, None, :, None] * _EYE2[None, :, None, :]).reshape(4, 4))
 
 
 def lift_b(op: SingleQubitOperator) -> TwoQubitOperator:
-    """Act with `op` on particle B: block-diagonal with one copy of op per A value."""
-    return TwoQubitOperator(np.kron(_EYE2, op.matrix))
+    """Act with `op` on particle B: block-diagonal with one copy of op per A value.
+
+    The broadcast product I[k, l] * op[i, j] at (2k+i, 2l+j), as np.kron(I, op).
+    """
+    return TwoQubitOperator((_EYE2[:, None, :, None] * op.matrix[None, :, None, :]).reshape(4, 4))
+
+
+_PROJECTORS: dict[tuple[str, int], TwoQubitOperator] = {
+    (particle, value): lift(SingleQubitOperator(np.diag(d)))
+    for value, d in enumerate(([1, 0], [0, 1]))
+    for particle, lift in (("A", lift_a), ("B", lift_b))
+}
+
+
+def projector(particle: Particle, value: int) -> TwoQubitOperator:
+    """Projector onto the subspace where `particle` has the given bit value (one of four constants)."""
+    if value not in (0, 1):
+        raise ValueError(f"projector value must be 0 or 1, got {value}")
+    if particle not in ("A", "B"):
+        raise ValueError(f"particle must be 'A' or 'B', got {particle!r}")
+    return _PROJECTORS[particle, value]
 
 
 def compose(f: Operator, g: Operator) -> Operator:

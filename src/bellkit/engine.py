@@ -218,10 +218,10 @@ def measure_relative(
         post, probability, projected_norm = s, 1.0, 1.0
     else:
         if rng.random() < p_same:
-            outcome, probability, projected = 0, p_same, TwoQubitState(s.g00, 0.0, 0.0, s.g11)
+            outcome, probability, projected = 0, p_same, TwoQubitState(s.g00, 0j, 0j, s.g11)
         else:
             outcome, probability = 1, abs(s.g01) ** 2 + abs(s.g10) ** 2
-            projected = TwoQubitState(0.0, s.g01, s.g10, 0.0)
+            projected = TwoQubitState(0j, s.g01, s.g10, 0j)
         projected_norm = projected.norm()
         post = normalize(projected)
     record = MeasurementRecord(

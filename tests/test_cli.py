@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,12 @@ class TestRunFailures:
         assert code == 2 and out == ""
         assert "error: raw preparation is not normalized" in err
 
+    def test_raw_amplitude_whose_square_overflows_is_a_diagnostic(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.bk", "prepare raw 1e200 0 0 0 0 0 0 0\nmeasure value A\n")
+        code, out, err = invoke(capsys, ["run", path])
+        assert code == 2 and out == ""
+        assert err == f"{path}:1:1: error: raw preparation is not normalized (norm inf, tolerance 1e-09)\n"
+
     def test_invalid_utf8(self, tmp_path, capsys):
         path = tmp_path / "binary.bk"
         path.write_bytes(b"\xffprepare basis 00\n")
@@ -349,11 +356,54 @@ class TestSweepCommand:
 
 
 class TestCheckCommand:
+    GROUP_NAMES = (
+        "lifting-algebra", "unitarity-preservation", "bell-operator-algebra", "projector-completeness",
+        "norm-preservation", "bell-family", "factorization", "nearest-product-oracle", "flip-toggle",
+        "measurement-theorems", "deterministic-branches", "statistics", "reproducibility",
+    )
+
     def test_all_groups_pass(self, capsys):
         code, out, err = invoke(capsys, ["check"])
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert lines and all(line.startswith("PASS ") for line in lines)
+
+    def test_prints_every_group_once_in_order(self, capsys):
+        code, out, err = invoke(capsys, ["check"])
+        assert code == 0 and err == "" and len(checks.GROUPS) == len(self.GROUP_NAMES)
+        details = {}
+        for line, name in zip(out.splitlines(), self.GROUP_NAMES, strict=True):
+            assert line.startswith(f"PASS {name}: ")
+            details[name] = line[len(f"PASS {name}: "):]
+        assert details.pop("nearest-product-oracle") == "200/200 states agree"
+        assert details.pop("deterministic-branches") == "200/200 shots agree"
+        assert details.pop("reproducibility") == "repeated runs and per-shot replay identical"
+        assert re.fullmatch(
+            r"deviations: pairs \d\.\d{4}, weighted A=0 \d\.\d{4}, signs \d\.\d{4} \(all within 4 sigma\)",
+            details.pop("statistics"),
+        )
+        assert len(details) == 9
+        for detail in details.values():
+            assert re.fullmatch(r"max deviation \d\.\d{3}e[+-]\d\d \(tolerance [0-9e.-]+\)", detail)
+
+    @pytest.mark.parametrize("source, seed, shots", [
+        ("prepare bell-random-sign phi\napply flip A\nmeasure relative\n", 22, 10000),
+        ("prepare bell-random-sign psi s0=0.3\napply flip B\napply t_minus A\n", 5, 3000),
+        ("prepare bell-random-sign phi s0=0.8\nmeasure relative\n", 9, 40),
+        ("prepare bell phi +\nmeasure value A\n", 3, 500),
+    ])
+    def test_sign_counts_weighted_by_state_equal_a_per_shot_classification(self, source, seed, shots):
+        program, _ = circuit.parse(source)
+        results = run(program, shots=shots, seed=seed, keep_results=True).results
+        signs = [0, 0]
+        for shot in results:
+            classified = classify(shot.final_state)
+            if classified.kind != "bell":
+                signs = None
+                break
+            signs[0 if classified.bell.sign == 1 else 1] += 1
+        assert checks._bell_sign_counts(results) == signs
+        assert signs is None or sum(signs) == shots
 
 
 class TestEntryPoint:

@@ -6,6 +6,7 @@ Kronecker products.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -244,3 +245,144 @@ class TestCanonicalText:
 
     def test_inv_sqrt2_constant(self):
         assert core.INV_SQRT2 == 0.7071067811865476
+
+
+def _planted_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Random complex entries with some parts replaced by +0.0 and -0.0."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    parts = m.view(float)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    return m
+
+
+def _reference_norm(s: core.TwoQubitState) -> float:
+    return math.sqrt(abs(s.g00) ** 2 + abs(s.g01) ** 2 + abs(s.g10) ** 2 + abs(s.g11) ** 2)
+
+
+class TestConstructorContract:
+    """What every state and operator constructor accepts, stores and rejects."""
+
+    BAD = (float("nan"), float("inf"), -float("inf"), complex(0, float("nan")), complex(float("inf"), 0))
+
+    @pytest.mark.parametrize("cls, fields", [
+        (core.TwoQubitState, ("g00", "g01", "g10", "g11")),
+        (core.SingleQubitState, ("amp0", "amp1")),
+    ])
+    def test_non_finite_amplitude_names_its_field(self, cls, fields):
+        for position, name in enumerate(fields):
+            for bad in self.BAD:
+                values = [0.5 + 0.5j] * len(fields)
+                values[position] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    cls(*values)
+
+    @pytest.mark.parametrize("cls, width", [(core.TwoQubitState, 4), (core.SingleQubitState, 2)])
+    def test_numbers_are_stored_as_python_complex(self, cls, width):
+        for value in (1, 0.5, -0.0, np.float64(0.25), np.complex128(0.5 - 0.5j), np.int64(1), 0.5j):
+            s = cls(*([value] * width))
+            for stored in dataclasses.astuple(s)[:width]:
+                assert type(stored) is complex
+                assert stored == complex(value)
+                assert math.copysign(1.0, stored.real) == math.copysign(1.0, complex(value).real)
+
+    def test_overflowing_norm_still_constructs(self):
+        # Each square is finite; their sum overflows to inf.
+        s = core.TwoQubitState(1e154, 1e154, 1e154, 1e154)
+        assert s.subnormalized and core.norm(s) == math.inf
+        assert all(type(g) is complex for g in s.amplitudes)
+
+    def test_overflowing_square_is_an_infinite_norm(self):
+        s = core.TwoQubitState(1e200, 0, 0, 0)
+        assert s.subnormalized and core.norm(s) == math.inf and s.g00 == 1e200
+
+    def test_norm_and_subnormalized_follow_the_summation_formula(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            g = rng.normal(size=4) + 1j * rng.normal(size=4)
+            g = g / np.linalg.norm(g) * rng.choice([1.0, 1 + 5e-10, 1 + 2e-9, 0.5])
+            for s in (core.TwoQubitState(*g.tolist()), core.TwoQubitState(*g.real.tolist())):
+                assert core.norm(s) == _reference_norm(s)
+                assert s.subnormalized == (abs(_reference_norm(s) - 1.0) > core.EPS_NORM)
+
+    @pytest.mark.parametrize("cls, shape", [
+        (core.SingleQubitOperator, (2, 2)),
+        (core.TwoQubitOperator, (4, 4)),
+    ])
+    def test_operator_messages(self, cls, shape):
+        with pytest.raises(ValueError) as wrong:
+            cls(np.eye(3))
+        assert str(wrong.value) == f"expected a {shape[0]}x{shape[1]} matrix, got shape (3, 3)"
+        for bad in self.BAD:
+            for position in range(shape[0] * shape[1]):
+                m = np.eye(shape[0], dtype=complex).ravel()
+                m[position] = bad
+                with pytest.raises(ValueError) as non_finite:
+                    cls(m.reshape(shape))
+                assert str(non_finite.value) == "operator entries must be finite"
+
+    @pytest.mark.parametrize("cls, size", [(core.SingleQubitOperator, 2), (core.TwoQubitOperator, 4)])
+    def test_operators_store_a_read_only_complex_copy(self, cls, size):
+        source = np.arange(size * size).reshape(size, size)
+        op = cls(source)
+        assert op.matrix.dtype == complex and not op.matrix.flags.writeable
+        source[0, 0] = 99
+        assert op.entry(0, 0) == 0
+
+
+class TestKernelsBitExact:
+    """The broadcast lifts and list-based constructors give numpy's own bytes."""
+
+    def test_lifts_equal_kron_byte_for_byte(self):
+        rng = np.random.default_rng(13)
+        eye = np.eye(2, dtype=complex)
+        matrices = [_planted_matrix(rng, (2, 2)) for _ in range(2000)]
+        matrices += [core.named_operator(name).matrix for name in core.OPERATOR_NAMES]
+        matrices.append(np.array([[-0.0, 0.0 - 0.0j], [complex(-0.0, -0.0), 1.0]]))
+        for m in matrices:
+            op = core.SingleQubitOperator(m)
+            assert core.lift_a(op).matrix.tobytes() == np.kron(m, eye).tobytes()
+            assert core.lift_b(op).matrix.tobytes() == np.kron(eye, m).tobytes()
+
+    def test_projectors_equal_kron_byte_for_byte(self):
+        eye = np.eye(2, dtype=complex)
+        for value, d in enumerate(([1, 0], [0, 1])):
+            p = np.diag(d).astype(complex)
+            assert core.projector("A", value).matrix.tobytes() == np.kron(p, eye).tobytes()
+            assert core.projector("B", value).matrix.tobytes() == np.kron(eye, p).tobytes()
+
+    def test_apply_is_numpys_matvec(self):
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            op = core.TwoQubitOperator(_planted_matrix(rng, (4, 4)))
+            s = core.TwoQubitState(*_planted_matrix(rng, (1, 4)).ravel().tolist())
+            out = core.apply2(op, s)
+            assert out.vector.tobytes() == (op.matrix @ s.vector).tobytes()
+            assert core.norm(out) == _reference_norm(out)
+            op1 = core.SingleQubitOperator(_planted_matrix(rng, (2, 2)))
+            s1 = core.SingleQubitState(*_planted_matrix(rng, (1, 2)).ravel().tolist())
+            assert core.apply1(op1, s1).vector.tobytes() == (op1.matrix @ s1.vector).tobytes()
+
+    def test_from_vector_keeps_every_double(self):
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            v = _planted_matrix(rng, (1, 4)).ravel()
+            for s, width in ((core.TwoQubitState.from_vector(v), 4), (core.SingleQubitState.from_vector(v[:2]), 2)):
+                reference = [complex(v[i]) for i in range(width)]
+                stored = dataclasses.astuple(s)[:width]
+                assert all(type(z) is complex for z in stored)
+                assert np.array(stored).tobytes() == np.array(reference).tobytes()
+
+
+class TestOperatorHash:
+    def test_equal_operators_hash_equal_across_signed_zeros(self):
+        a = core.lift_a(core.named_operator("t_minus"))
+        b = core.TwoQubitOperator(np.diag([1, 1, -1, -1]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        c = core.SingleQubitOperator([[1, -0.0], [complex(0.0, -0.0), 1]])
+        d = core.SingleQubitOperator(np.eye(2))
+        assert c == d and hash(c) == hash(d) and len({c, d}) == 1
+
+    def test_unequal_operators_still_differ(self):
+        assert core.named_operator("flip") != core.named_operator("t_minus")
+        assert len({core.named_operator(name) for name in core.OPERATOR_NAMES}) == 3
