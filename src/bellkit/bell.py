@@ -70,9 +70,10 @@ def bell_state(descriptor: BellDescriptor) -> TwoQubitState:
     s0 = descriptor.s0
     other = math.sqrt(1.0 - s0 * s0)
     q = descriptor.sign
+    # complex(x) keeps x's bits and takes TwoQubitState's fast path for finite complex fields.
     if descriptor.bell_class == "phi":
-        return TwoQubitState(s0, 0.0, 0.0, q * other)
-    return TwoQubitState(0.0, other, q * s0, 0.0)
+        return TwoQubitState(complex(s0), 0j, 0j, complex(q * other))
+    return TwoQubitState(0j, complex(other), complex(q * s0), 0j)
 
 
 def separability_defect(s: TwoQubitState) -> float:

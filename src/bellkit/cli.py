@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -345,4 +346,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console entry point; a reader that closes stdout early (``| head``) ends the run quietly."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The "Note on SIGPIPE" recipe of the signal docs: stdout goes to devnull, so that the
+        # flush at interpreter exit raises no second BrokenPipeError, and the exit code is 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

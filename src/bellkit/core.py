@@ -183,7 +183,8 @@ class _MatrixOperator:
     def is_unitary(self, tol: float = EPS_OP) -> bool:
         m = self._matrix
         eye = np.eye(self._shape[0], dtype=complex)
-        return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: not unitary
+            return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):

@@ -14,24 +14,31 @@ The only operation required of a random stream is ``random() -> float``
 uniform on [0, 1); an outcome with probability p is realized when the draw
 is strictly below p.  A shot thus depends on a draw only through the side of
 p it falls on, so all shots walk one branch tree whose inner nodes are the
-steps that draw.  A node is built on first visit by the shot code; a run
-stores at most NODE_BUDGET nodes and runs the branches past them unstored.
+steps that draw.  A node is built on first visit; a run stores at most
+NODE_BUDGET nodes and runs the branches past them unstored.
 
-`run` computes the same ``PCG64(SeedSequence([s, i]))`` draws for blocks of
-shots at once (`draws`, numpy integer arithmetic, bit-exact with
-``Generator.random()``) once a run has enough shots to repay a block's fixed
-cost, and walks each block down the tree a level at a time: the shots at a
-node split by one array comparison, and each child is built once for all of
-them.  `derive_rng` and the one-shot `walk` stay the reference; shorter runs
-use them per shot.
+Once a run has enough shots to repay a block's fixed cost, `run` computes the
+same ``PCG64(SeedSequence([s, i]))`` draws for blocks of shots at once
+(`_streams.block_rows`, numpy integer arithmetic, bit-exact with
+``Generator.random()``).  A block is seeded once, then steps every shot once
+per tree level, so a shot's d-th draw decides its d-th branch, and it stops
+when no shot is left at an inner node.  The block goes down the tree a level
+at a time: the shots at a level's nodes split by array comparisons, and the
+level's missing children are built together.  A counts-only run builds them
+in one numpy pass over their stacked amplitudes (`_BranchTree._build_level`),
+which computes each probability with the scalar code's floating-point
+operations and keeps only outcome keys; a run that keeps its results builds
+them with the shot code, once per node, and so does every run for the root's
+one or two children, where the shot code is the faster.  `derive_rng` and the
+one-shot `walk` stay the reference; shorter runs use them per shot.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator, Optional, Protocol, Union
@@ -53,9 +60,11 @@ from .circuit import (
     RawPreparation,
 )
 from .core import (
+    EPS_ZERO,
     Particle,
     TwoQubitOperator,
     TwoQubitState,
+    _norm,
     apply2,
     basis_state,
     bell_operator,
@@ -65,6 +74,7 @@ from .core import (
     normalize,
     projector,
 )
+from ._streams import block_rows, draws  # draws stays importable as engine.draws
 
 __all__ = [
     "EPS_DET",
@@ -86,10 +96,9 @@ __all__ = [
 EPS_DET = 1e-9  # outcome probabilities within this of 0 or 1 are deterministic
 
 NODE_BUDGET = 4096  # branch-tree nodes one run stores: a memory bound, not a knob
-_BLOCK_BYTES = 2**20  # bounds the working set of one block's `draws` call
-_DRAWS_BYTES = 256  # that working set per shot, besides 8 bytes per draw (tracemalloc, numpy 2.4)
-_BULK_MIN_SHOTS = 24  # below this, a block's fixed cost exceeds per-shot derive_rng
-_BULK_MAX_DRAWS = 64  # more steps that can draw run per shot: a block computes all k rows
+_BLOCK_SHOTS = 4096  # shots per block: a peak of 0.9 MiB of seeding and walk arrays (tracemalloc, numpy 2.4)
+_BULK_MIN_SHOTS = 16  # below this, a block's fixed cost exceeds per-shot derive_rng (BENCH_level_build.json)
+_SPLIT_EACH_MAX = 4  # levels this narrow split node by node, wider ones in one sort: fewer numpy calls (measured)
 _P_PLUS_SIGN = 0.5  # a random-sign preparation takes sign + when its draw is below this
 
 
@@ -183,11 +192,13 @@ def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> _First:
     else:
         projected = apply2(projector(particle, 0), s)
         p = projected.norm() ** 2
-    if p >= 1.0 - EPS_DET:
-        return p, 0, projected
-    if p <= EPS_DET:
-        return p, 1, projected
-    return p, None, projected
+    return p, _certain(p), projected
+
+
+def _certain(p: float) -> Optional[int]:
+    """The outcome, 0 (the first) or 1, that a first-outcome probability p makes certain within
+    EPS_DET; None if it draws."""
+    return 0 if p >= 1.0 - EPS_DET else 1 if p <= EPS_DET else None
 
 
 def relative_bit(s: TwoQubitState) -> RelativeBitResult:
@@ -280,95 +291,6 @@ def derive_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shot_index])))
 
 
-# numpy's SeedSequence (hashmix/mix over a 4-word pool of uint32) and PCG64
-# (128-bit LCG, XSL-RR output) constants.  Each hashmix call t multiplies by
-# the t-th power of its multiplier, so call t's constants are fixed: hash
-# constants t and t + 1, held here as columns that broadcast over shots.
-_U = np.uint64
-_M32 = _U(0xFFFFFFFF)
-_POOL = 4
-
-
-def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply columns of hashmix calls first..first+count-1."""
-    consts = np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(first, first + count + 1)], np.uint32)
-    return consts[:-1, None], consts[1:, None]
-
-
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)  # hashmix calls 0..3: one per entropy word
-# Mixing round `src` hashes pool[src] once for each other word, calls 4 + 3 * src onward.
-_ROUNDS = tuple(
-    (src, np.array([dst for dst in range(_POOL) if dst != src]), *_hash_constants(_INIT_A, _MULT_A, _POOL + 3 * src, 3))
-    for src in range(_POOL)
-)
-_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 2 * _POOL)  # generate_state's 8 uint32 words
-_OUTPUT_SOURCE = np.arange(2 * _POOL) % _POOL  # ... taken from the pool words in turn
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MULT_HI, _MULT_LO = _U(_PCG_MULT >> 64), _U(_PCG_MULT & (2**64 - 1))
-_MULT_LO_0, _MULT_LO_1 = _U(_PCG_MULT & 0xFFFFFFFF), _U(_PCG_MULT >> 32 & 0xFFFFFFFF)
-_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53, as in Generator.random()
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """One hashmix call per row of the constant columns, in uint32 (which wraps mod 2**32)."""
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
-
-
-def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """(hi, lo) * _PCG_MULT + (inc_hi, inc_lo) mod 2**128, multiplying in 32-bit limbs."""
-    lo0, lo1 = lo & _M32, lo >> _U(32)
-    t = lo1 * _MULT_LO_0 + ((lo0 * _MULT_LO_0) >> _U(32))
-    u = lo0 * _MULT_LO_1 + (t & _M32)
-    carry_mul = lo1 * _MULT_LO_1 + (t >> _U(32)) + (u >> _U(32))  # high word of lo * _MULT_LO
-    hi = hi * _MULT_LO + lo * _MULT_HI + carry_mul
-    lo = lo * _MULT_LO + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
-def draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
-    """The first `k` draws of shots start..stop-1, as a (k, stop - start) array.
-
-    Column j equals ``derive_rng(seed, start + j).random(k)`` bit for bit: the
-    same SeedSequence entropy mixing and ``generate_state(4, uint64)`` (one row
-    per pool word, one column per shot), PCG64 seeding and steps, and
-    ``(x >> 11) * 2**-53``.  Words past an index's own count are zero, as
-    SeedSequence pads them, so one block may straddle 2**32.
-    """
-    if not (0 <= seed <= MAX_SEED and 0 <= start <= stop <= 2**64):
-        raise ValueError(f"draws needs a 64-bit seed and shot indices, got {seed}, {start}..{stop}")
-    n = stop - start
-    index = np.arange(n, dtype=np.uint64) + _U(start % 2**64)  # start is 2**64 only when n is 0
-    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
-    pool = np.zeros((_POOL, n), dtype=np.uint32)
-    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    pool[len(seed_words)] = index  # the low word: assigning to uint32 drops the high one
-    pool[len(seed_words) + 1] = index >> _U(32)
-    pool = _hashmix(pool, *_ENTROPY_HASH)
-    for src, dst, xor, mult in _ROUNDS:
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, mult))
-    words = _hashmix(pool[_OUTPUT_SOURCE], *_OUTPUT_HASH).astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << _U(32))
-    # PCG64 seeding: inc = seq << 1 | 1; state = 0, step, += initstate, step.
-    inc_hi, inc_lo = (seq_hi << _U(1)) | (seq_lo >> _U(63)), (seq_lo << _U(1)) | _U(1)
-    lo = inc_lo + state_lo
-    hi, lo = _lcg_step(inc_hi + state_hi + (lo < state_lo), lo, inc_hi, inc_lo)
-    out = np.empty((k, n))
-    for row in range(k):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U(58)
-        out[row] = ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)
-    out *= _TO_UNIT
-    return out
-
-
 def _prepare(program: CircuitProgram, rng: RandomStream) -> TwoQubitState:
     prep = program.preparation
     if isinstance(prep, BasisPreparation):
@@ -421,10 +343,69 @@ def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
     return ",".join(tokens)
 
 
-# Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
-# A node keeps no first-outcome projection: each of its children is built only once.
-_Node = namedtuple("_Node", ["p", "at", "children"])
-_Leaf = tuple[ShotResult, str]  # a shot's result and its counts key
+class _Node:
+    """Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
+
+    A node keeps no first-outcome projection: each of its children is built only once.
+    A node that `_build_level` built holds an amplitude vector and the outcome tokens so
+    far instead of a state and records, and its leaves hold no result.
+    """
+
+    __slots__ = ("p", "at", "children")
+
+    def __init__(self, p: float, at: tuple, children: list) -> None:
+        self.p, self.at, self.children = p, at, children
+
+
+_Leaf = tuple[Optional[ShotResult], str]  # a shot's result (None for a counts-only build) and its counts key
+
+# Outcome tokens of a measurement (None: relative) and the two amplitudes, of |00>, |01>,
+# |10>, |11>, that each outcome keeps: the diagonal of its projector, also as a mask.
+_TOKENS = {None: tuple(f"rel={bit.value}" for bit in _RELATIVE_BITS), "A": ("A=0", "A=1"), "B": ("B=0", "B=1")}
+_KEPT = {None: np.array([[0, 3], [1, 2]]), "A": np.array([[0, 1], [2, 3]]), "B": np.array([[0, 2], [1, 3]])}
+_KEEP = {particle: (kept[:, :, None] == np.arange(4)).any(axis=1) * 1.0 for particle, kept in _KEPT.items()}
+
+
+def _pair_norms(pairs: list) -> list[float]:
+    """`core._norm` of each state whose nonzero amplitudes are at most a pair: the others add
+    +0.0 to its sum of squares, which changes no bit, so only the pair's squares are summed."""
+    try:
+        return [math.sqrt(abs(a) ** 2 + abs(b) ** 2) for a, b in pairs]
+    except OverflowError:  # as `core._norm`: a square past the float range makes the norm inf
+        return [_norm(a, b, 0j, 0j) for a, b in pairs]
+
+
+def _first_p(vectors: np.ndarray, particle: Optional[Particle]) -> list[float]:
+    """`_first_outcome`'s p for each row, with its scalar arithmetic: Python's abs and ``** 2``
+    (libm's pow, which on about one value in a thousand rounds differently from numpy's square)."""
+    pairs = vectors[:, _KEPT[particle][0]].tolist()
+    if particle is None:
+        return [abs(a) ** 2 + abs(b) ** 2 for a, b in pairs]
+    return [n**2 for n in _pair_norms(pairs)]
+
+
+def _collapse(vectors: np.ndarray, particle: Optional[Particle], outcomes: list[int]) -> np.ndarray:
+    """Each row projected on its outcome of the measurement and normalized, as `normalize`.
+
+    The magnitudes equal the scalar code's bit for bit: the norm is `core._norm`'s, and
+    dividing each part by it is what CPython's ``complex / float`` does, up to the sign of
+    a zero.  No part exceeds the norm, so the result is finite.  A collapse zeroes a row
+    or a column of the coefficient matrix, so unlike `measure_value` it needs no
+    separability check: the defect is exactly 0.
+    """
+    norms = _pair_norms(np.take_along_axis(vectors, _KEPT[particle][outcomes], axis=1).tolist())
+    if min(norms) <= EPS_ZERO:
+        raise ValueError("cannot normalize a state with (near-)zero norm")
+    projected = vectors * _KEEP[particle][outcomes]
+    parts = projected.view(np.float64)
+    parts /= np.array(norms)[:, None]
+    return projected
+
+
+def _check_finite(vectors: np.ndarray) -> None:
+    """Raise the ValueError that `TwoQubitState` raises for a row with a non-finite amplitude."""
+    if not np.isfinite(vectors).all():
+        TwoQubitState(*vectors[~np.isfinite(vectors).all(axis=1)][0].tolist())
 
 
 class _BranchTree:
@@ -435,7 +416,6 @@ class _BranchTree:
         self.actions = [("prepare",), *_compiled_steps(program)]
         self.budget, self.size = budget, 1
         drawn = isinstance(program.preparation, BellRandomSignPreparation)  # the sign is drawn
-        self.max_draws = drawn + sum(action[0] == "measure" for action in self.actions)
         self.root = _Node(_P_PLUS_SIGN, (0, None, ()), [None, None]) if drawn else self._build(0, None, ())
 
     def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream], first=None):
@@ -484,56 +464,163 @@ class _BranchTree:
             node = self._child(node, 0 if draw < node.p else 1, draw)
         return node
 
-    def walk_block(self, block: np.ndarray) -> list[tuple[_Leaf, np.ndarray]]:
-        """Take every column of `block` (one shot each, row d its draw at depth d) to its leaf.
+    def _vector_at(self, node: _Node, draw: float) -> tuple:
+        """The `at` of a node the shot code built (the root or a child of it) as `_build_level`
+        holds it: (position, amplitude vector, outcome tokens); `draw` took the branch of a
+        random-sign root."""
+        position, state, records = node.at
+        if position == 0:  # the random sign is the drawn step
+            state = self._step(self.actions[0], None, (), SimpleNamespace(random=lambda: draw))[0]
+        return position, state.vector, tuple(outcome_key((record,)) for record in records)
 
-        The walk goes a level at a time: the ascending columns that reach a node
-        split by the same ``draw < node.p`` as `walk`, and a child is built once
-        for all of them.  Returns each reached leaf with its columns, ordered by
-        first column, so that counts keep the order in which shots reach keys.
+    def _build_level(self, missing: list[tuple[_Node, int, float]]) -> list:
+        """Build each (node, branch, draw) child in one numpy pass; no result objects are made.
+
+        Row i of an (m, 4) stack starts as its parent's state at the parent's
+        drawing step, whose outcome is the branch.  Walking the actions from the
+        first such step on, each action runs on every row at it: an apply step
+        as one stacked matmul (bit-exact with `apply2`), a measurement as
+        `_first_p`, stopping the rows it leaves to chance, then as `_collapse`.
+        The rows still running after the last action are leaves.  p and every
+        branch depend on magnitudes only, which equal `_child`'s bit for bit, so
+        the children equal `_child`'s up to the signs of zero amplitudes.
         """
-        rows, n = block.shape
-        level = [(self.root, np.arange(n))]
-        leaves = []
-        for row in block:
-            reached = []
-            for node, taken in level:
-                below = row[taken] < node.p
-                for branch, side in enumerate((taken[below], taken[~below])):
-                    if len(side):
-                        child = self._child(node, branch, float(row[side[0]]))
-                        (reached if isinstance(child, _Node) else leaves).append((child, side))
-            level = reached
-            if not level:
-                return sorted(leaves, key=lambda leaf: leaf[1][0])
-        raise RuntimeError(f"a path through the branch tree needs more than the {rows} draws of its block")
+        ats = [node.at if type(node.at[1]) is np.ndarray else self._vector_at(node, draw) for node, _, draw in missing]
+        outcome, tokens = [branch for _, branch, _ in missing], [at[2] for at in ats]
+        entering = {}  # rows by the position of their first step
+        for row, at in enumerate(ats):
+            entering.setdefault(at[0], []).append(row)
+        vectors, last = np.array([at[1] for at in ats]), max(entering)
+        children, running = [None] * len(missing), []  # running: rows past their first step, short of a drawing one
+        for position in range(min(entering), len(self.actions)):
+            action, rows = self.actions[position], entering.get(position, [])
+            if action[0] == "apply" and running:
+                applied = np.matmul(action[1].matrix, vectors[running][:, :, None])[:, :, 0]
+                _check_finite(applied)
+                vectors[running] = applied
+            elif action[0] == "measure":
+                particle, decided, arriving = action[2], [], vectors[running]
+                for row, p, vector in zip(running, _first_p(arriving, particle) if running else (), arriving):
+                    certain = _certain(p)
+                    if certain is None:  # a drawing step: the row stops here as a node
+                        children[row] = _Node(p, (position, vector, tokens[row]), [None, None])
+                    else:
+                        outcome[row] = certain
+                        decided.append(row)
+                running, known = decided, rows + decided
+                collapsing = rows if particle is None else known  # a certain relative outcome keeps the state
+                if collapsing:
+                    vectors[collapsing] = _collapse(vectors[collapsing], particle, [outcome[row] for row in collapsing])
+                names = _TOKENS[particle]
+                for row in known:
+                    tokens[row] += (names[outcome[row]],)
+            running += rows
+            if not running and position >= last:
+                break
+        for row in running:
+            children[row] = (None, ",".join(tokens[row]) or "none")
+        return children
+
+    def walk_block(self, rows: Iterator[np.ndarray], n: int, keep: bool) -> list[tuple[_Leaf, np.ndarray]]:
+        """Take columns 0..n-1, one shot each, to their leaves, reading row d of `rows` at depth d.
+
+        The walk goes a level at a time and asks for a row only while a column
+        is alive.  The ascending columns at a node split by the same
+        ``draw < node.p`` as `walk` (`_split`), and the level's missing
+        children are built together: by `_child`, with their results, if
+        `keep`, else by `_build_level`; a tree is walked one way only.  The
+        root's children, at most two, are built by `_child` either way: the
+        shot code builds one or two nodes faster than a numpy pass.  Returns
+        each reached leaf with its columns, ordered by first column, so that
+        counts keep the order in which shots reach keys.
+        """
+        level, leaves = [(self.root, np.arange(n))], []
+        while level:
+            row = next(rows)
+            groups = _split(level, row)
+            children = [node.children[branch] for node, branch, _, _ in groups]
+            missing = [j for j, child in enumerate(children) if child is None]
+            if missing:
+                wanted = [groups[j][:3] for j in missing]  # (node, branch, the draw that took it)
+                if keep or wanted[0][0] is self.root:
+                    built = [self._child(*want) for want in wanted]
+                else:
+                    built = self._build_level(wanted)
+                    stored = wanted[: max(self.budget - self.size, 0)]  # as `_child` stores, in order
+                    for (node, branch, _), child in zip(stored, built):
+                        node.children[branch] = child
+                    self.size += len(stored)
+                for j, child in zip(missing, built):
+                    children[j] = child
+            level = []
+            for (_, _, _, columns), child in zip(groups, children):
+                (level if isinstance(child, _Node) else leaves).append((child, columns))
+        return sorted(leaves, key=lambda leaf: leaf[1][0])
 
 
-def _block_shots(k: int) -> int:
-    """Shots per block of `k` draws each, so that one `draws` call stays within _BLOCK_BYTES."""
-    return _BLOCK_BYTES // (_DRAWS_BYTES + 8 * k)
+def _split(level: list[tuple[_Node, np.ndarray]], row: np.ndarray) -> list[tuple[_Node, int, float, np.ndarray]]:
+    """The (node, branch, draw of the first column, ascending columns) groups into which
+    ``row < node.p`` splits a level.
+
+    A level of a few nodes splits node by node; a wider one in one stable sort
+    of all its columns by (node, branch), which costs a fixed few numpy calls
+    however many nodes there are.
+    """
+    if len(level) <= _SPLIT_EACH_MAX:
+        groups = []
+        for node, taken in level:
+            below = row[taken] < node.p
+            sides = (taken[below], taken[~below])
+            groups.extend((node, branch, float(row[side[0]]), side) for branch, side in enumerate(sides) if len(side))
+        return groups
+    columns = np.concatenate([taken for _, taken in level])
+    at = np.repeat(np.arange(len(level)), [len(taken) for _, taken in level])
+    code = 2 * at + 1 - (row[columns] < np.array([node.p for node, _ in level])[at])  # 2 * node + branch
+    order = np.argsort(code, kind="stable")
+    columns, sizes = columns[order], np.bincount(code)
+    reached = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[reached]).tolist()
+    firsts = [0, *ends[:-1]]
+    return [
+        (level[child >> 1][0], child & 1, draw, columns[first:end])
+        for child, draw, first, end in zip(reached.tolist(), row[columns[firsts]].tolist(), firsts, ends)
+    ]
 
 
-def _leaf_groups(tree: _BranchTree, shots: int, seed: int) -> Iterator[tuple[_Leaf, int, object]]:
+class _DrawMismatch(Exception):
+    """This numpy's ``Generator.random()`` differs from `block_rows`."""
+
+
+def _checked(rows: Iterator[np.ndarray], rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """`rows`, each checked in column 0 against the next draw of `rng`."""
+    for row in rows:
+        if row[0] != rng.random():
+            raise _DrawMismatch
+        yield row
+
+
+def _leaf_groups(program: CircuitProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
     """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
 
-    Runs below _BULK_MIN_SHOTS, over _BULK_MAX_DRAWS, or on a numpy whose
-    ``Generator.random()`` differs from `draws` walk each shot with `derive_rng`.
+    Runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()``
+    differs from `block_rows` in shot 0, walk each shot with `derive_rng`.
     """
+    tree = _BranchTree(program, NODE_BUDGET)
     if not isinstance(tree.root, _Node):  # no shot draws: no stream is derived
         yield tree.root, shots, slice(None)
         return
-    k = tree.max_draws
-    if shots >= _BULK_MIN_SHOTS and k <= _BULK_MAX_DRAWS:
-        block_shots = _block_shots(k)
-        for start in range(0, shots, block_shots):
-            block = draws(seed, start, min(start + block_shots, shots), k)
-            if start == 0 and not np.array_equal(block[:, 0], derive_rng(seed, 0).random(k)):
-                break  # this numpy's Generator.random() no longer matches `draws`: keep the contract
-            for leaf, columns in tree.walk_block(block):
-                yield leaf, len(columns), columns + start
-        else:
+    if shots >= _BULK_MIN_SHOTS:
+        try:
+            for start in range(0, shots, _BLOCK_SHOTS):
+                stop = min(start + _BLOCK_SHOTS, shots)
+                rows = block_rows(seed, start, stop)
+                for leaf, columns in tree.walk_block(
+                    _checked(rows, derive_rng(seed, 0)) if start == 0 else rows, stop - start, keep
+                ):
+                    yield leaf, len(columns), columns + start
             return
+        except _DrawMismatch:  # raised in the first block, before any group: keep the contract
+            tree = _BranchTree(program, NODE_BUDGET)  # its nodes may hold vectors, which `walk` cannot step
     for index in range(shots):
         yield tree.walk(derive_rng(seed, index)), 1, index
 
@@ -577,10 +664,9 @@ def run(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    tree = _BranchTree(program, NODE_BUDGET)
     counts: dict[str, int] = {}
     slots = np.empty(shots, dtype=object) if keep_results else None
-    for (shot, key), count, index in _leaf_groups(tree, shots, seed):
+    for (shot, key), count, index in _leaf_groups(program, shots, seed, keep_results):
         counts[key] = counts.get(key, 0) + count
         if keep_results:
             slots[index] = shot

@@ -64,6 +64,26 @@ class TestBellStates:
                 expected = 1.0 if i == j else 0.0
                 assert abs(core.inner(s, t) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("s0", [0.0, 1e-6, 0.6, INV, 1.0])
+    def test_complex_construction_keeps_every_bit(self, s0, monkeypatch):
+        # The float construction, coerced field by field, is the reference; the signed zeros included.
+        other = math.sqrt(1.0 - s0 * s0)
+        expected = {}
+        for sign in (1, -1):
+            expected["phi", sign] = core.TwoQubitState(s0, 0.0, 0.0, sign * other)
+            expected["psi", sign] = core.TwoQubitState(0.0, other, sign * s0, 0.0)
+
+        def coerced(*args):
+            raise AssertionError("bell_state took the coercion path")
+
+        monkeypatch.setattr(core, "_store_amplitudes", coerced)
+        for (cls, sign), reference in expected.items():
+            state = bell.bell_state(descriptor(cls, sign, s0))
+            assert core.state_text(state) == core.state_text(reference)
+            signs = [math.copysign(1.0, part) for z in state.amplitudes for part in (z.real, z.imag)]
+            assert signs == [math.copysign(1.0, part) for z in reference.amplitudes for part in (z.real, z.imag)]
+            assert state == reference and state.subnormalized == reference.subnormalized
+
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
             bell.BellDescriptor("phi", 1, 1.5)

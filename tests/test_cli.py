@@ -450,6 +450,29 @@ class TestEntryPoint:
         assert lines[:2] == parsed and parsed[0].startswith("(None, [Diagnostic(")
         assert len(lines) == 2 + len(checks.GROUPS) and all(line.startswith("PASS ") for line in lines[2:])
 
+    def test_huge_raw_operator_prints_only_its_diagnostic(self, tmp_path):
+        # numpy's overflow and invalid-value warnings from the unitarity check once came first.
+        path = write(tmp_path, "huge.bk", "prepare bell phi +\napply raw A 1e200 0 0 0 0 0 1 0\nmeasure value A\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "bellkit", "run", path], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"{path}:2:1: error: raw operator is not unitary (tolerance 1e-09)\n"
+
+    def test_a_closed_stdout_pipe_ends_the_run_quietly(self):
+        # The report is megabytes, far past a pipe's buffer: the writer meets the closed pipe mid-print.
+        sample = Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk"
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "bellkit", "run", str(sample), "--trace", "--shots", "50000"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=120)
+        assert first == b"shots: 50000\n"
+        assert err == b"" and proc.returncode == 1
+
     def test_library_has_no_assert_statements(self):
         # python -O strips asserts, so a check written as one vanishes.
         package = Path(bellkit.__file__).resolve().parent

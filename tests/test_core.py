@@ -101,6 +101,11 @@ class TestNamedOperators:
         for name in core.OPERATOR_NAMES:
             assert core.named_operator(name).is_unitary(1e-15)
 
+    def test_huge_entries_are_not_unitary_and_warn_nothing(self):
+        # M^H M overflows to inf and inf - inf; the suite turns any RuntimeWarning into an error.
+        assert not core.SingleQubitOperator([[1e200, 0], [0, 1]]).is_unitary()
+        assert not core.lift_a(core.SingleQubitOperator([[1e200, 1e200], [0, 1]])).is_unitary()
+
     def test_apply1_sign_branch(self):
         s = core.SingleQubitState(0.6, 0.8j)
         out = core.apply1(core.named_operator("t_minus"), s)

@@ -1,5 +1,6 @@
 """Measurement collapse rules, the randomness contract, and run aggregation."""
 
+import itertools
 import json
 import math
 import os
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 import bellkit
 from bellkit import circuit, core, engine
 from bellkit.bell import BellDescriptor, bell_state, classify, separability_defect
-from bellkit.checks import random_two_qubit_state
+from bellkit.checks import random_two_qubit_state, random_unitary
 from bellkit.circuit import (
     ApplyBellOperator,
     ApplyNamed,
+    ApplyRaw,
     BasisPreparation,
     BellPreparation,
     BellRandomSignPreparation,
@@ -378,7 +380,9 @@ class TestBranchTree:
         for index in range(shots):
             tree.walk(derive_rng(seed, index))
         assert tree.size == engine.NODE_BUDGET
-        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+        replay = _replay(prog, shots, seed)
+        assert run(prog, shots, seed, keep_results=True) == replay
+        assert list(run(prog, shots, seed).counts.items()) == list(replay.counts.items())
 
     @settings(max_examples=9, deadline=None, derandomize=True, database=None)
     @given(
@@ -391,9 +395,10 @@ class TestBranchTree:
         assert 1 < engine._BULK_MIN_SHOTS <= 64
         prog = random_program(np.random.default_rng(program_seed))
         count, offset = blocks
-        shots = count * engine._block_shots(engine._BranchTree(prog, 0).max_draws) + offset
+        shots = count * engine._BLOCK_SHOTS + offset
         stats, replay = run(prog, shots, seed, keep_results=True), _replay(prog, shots, seed)
         assert stats == replay and list(stats.counts) == list(replay.counts)
+        assert list(run(prog, shots, seed).counts.items()) == list(replay.counts.items())
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
@@ -411,50 +416,83 @@ class TestBranchTree:
         step = "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n"
         prog, diags = circuit.parse("prepare bell-random-sign phi\n" + step * 10)
         assert prog is not None and not diags
-        k = engine._BranchTree(prog, 0).max_draws
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 150 * (engine._DRAWS_BYTES + 8 * k))
-        block, shots, seed = engine._block_shots(k), 400, 9
-        assert block == 150
-        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
-        for start in range(0, shots, block):
-            tree.walk_block(engine.draws(seed, start, min(start + block, shots), k))
-        assert tree.size == engine.NODE_BUDGET
-        stats, replay = run(prog, shots, seed, keep_results=True), _replay(prog, shots, seed)
+        monkeypatch.setattr(engine, "_BLOCK_SHOTS", 150)
+        block, shots, seed = engine._BLOCK_SHOTS, 400, 9
+        for keep in (True, False):
+            tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+            for start in range(0, shots, block):
+                stop = min(start + block, shots)
+                tree.walk_block(engine.block_rows(seed, start, stop), stop - start, keep)
+            assert tree.size == engine.NODE_BUDGET
+        replay = _replay(prog, shots, seed)
+        stats = run(prog, shots, seed, keep_results=True)
         assert stats == replay and list(stats.counts) == list(replay.counts)
+        assert list(run(prog, shots, seed).counts.items()) == list(replay.counts.items())
 
-    def test_program_past_the_bulk_draw_bound_runs_per_shot(self, monkeypatch):
-        def no_blocks(*args):
-            raise AssertionError("a program with this many draws per shot runs per shot")
-
-        monkeypatch.setattr(engine, "draws", no_blocks)
+    def test_program_with_more_than_64_drawing_steps_runs_in_blocks(self, monkeypatch):
+        # 65 steps draw per shot; every shot walks a block, and only the check of shot 0 derives a stream.
         prog = program(
             BellRandomSignPreparation(bell_class="phi"),
-            *[ApplyBellOperator(), MeasureValue(particle="A")] * engine._BULK_MAX_DRAWS,
+            *[ApplyBellOperator(), MeasureValue(particle="A")] * 64,
         )
         shots, seed = engine._BULK_MIN_SHOTS + 2, 4
-        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+        replay = _replay(prog, shots, seed)
+        derived, derive = [], engine.derive_rng
+        monkeypatch.setattr(engine, "derive_rng", lambda seed, index: derived.append(index) or derive(seed, index))
+        for keep in (True, False):
+            stats = run(prog, shots, seed, keep_results=keep)
+            assert list(stats.counts.items()) == list(replay.counts.items())
+            assert stats.results == (replay.results if keep else None)
+        assert derived == [0, 0]
 
     def test_run_keeps_the_contract_if_bulk_draws_disagree(self, monkeypatch):
         prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureRelative(), MeasureValue(particle="B"))
         shots, seed = 100, 8
-        monkeypatch.setattr(engine, "draws", lambda seed, start, stop, k: np.full((k, stop - start), 0.25))
-        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+        replay = _replay(prog, shots, seed)
 
-    def test_walk_block_past_its_last_row_raises(self):
-        prog = program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A"))
-        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
-        with pytest.raises(RuntimeError, match="more than the 1 draws"):
-            tree.walk_block(np.full((1, 3), 0.3))
-        ((leaf, columns),) = tree.walk_block(np.full((2, 3), 0.3))
-        assert leaf[1] == "A=0" and columns.tolist() == [0, 1, 2]
+        def wrong_rows(seed, start, stop):
+            blocks.append((start, stop))
+            return itertools.repeat(np.full(stop - start, 0.25))
+
+        monkeypatch.setattr(engine, "block_rows", wrong_rows)
+        for keep in (True, False):
+            blocks = []
+            stats = run(prog, shots, seed, keep_results=keep)
+            assert blocks == [(0, shots)]  # the bulk path ran, and its first row failed the check
+            assert list(stats.counts.items()) == list(replay.counts.items())
+            assert stats.results == (replay.results if keep else None)
+
+    def test_walk_block_asks_for_rows_only_while_a_column_is_alive(self):
+        # The relative measurement draws; on Different the value measurement draws too, on Same it is certain.
+        prog = program(
+            circuit.RawPreparation(state=core.TwoQubitState(0.6, 0.48, 0.64, 0)),
+            MeasureRelative(),
+            MeasureValue(particle="A"),
+        )
+        for columns, depth in (([0.1, 0.2], 1), ([0.1, 0.9], 2), ([0.9, 0.9, 0.1], 2)):
+            for keep in (True, False):
+                asked = []
+
+                def rows():
+                    while True:
+                        asked.append(len(asked))
+                        yield np.array(columns)
+
+                tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+                leaves = tree.walk_block(rows(), len(columns), keep)
+                assert len(asked) == depth
+                assert sorted(int(c) for _, cols in leaves for c in cols) == list(range(len(columns)))
 
     def test_walk_block_splits_columns_like_walk(self):
         # A sign draw below 0.5 gives +, a second draw below p(A=0) = 0.36 gives A=0; a draw equal to p is not below.
         prog = program(BellRandomSignPreparation(bell_class="phi", s0=0.6), MeasureValue(particle="A"))
         block = np.array([[0.1, 0.9, 0.2, 0.7, 0.5], [0.8, 0.3, 0.1, 0.6, 0.36]])
-        tree = engine._BranchTree(prog, engine.NODE_BUDGET)
-        got = [(leaf[1], columns.tolist()) for leaf, columns in tree.walk_block(block)]
-        assert got == [("A=1", [0]), ("A=0", [1]), ("A=0", [2]), ("A=1", [3, 4])]
+        for keep in (True, False):
+            tree = engine._BranchTree(prog, engine.NODE_BUDGET)
+            walked = tree.walk_block(iter(block), block.shape[1], keep)
+            got = [(leaf[1], columns.tolist()) for leaf, columns in walked]
+            assert got == [("A=1", [0]), ("A=0", [1]), ("A=0", [2]), ("A=1", [3, 4])]
+            assert all((leaf[0] is not None) == keep for leaf, _ in walked)
         for column in range(block.shape[1]):
             walked = engine._BranchTree(prog, 0).walk(ScriptedStream(block[:, column].tolist()))
             assert walked[1] == next(key for key, columns in got if column in columns)
@@ -493,6 +531,180 @@ class TestBranchTree:
         tree = engine._BranchTree(prog, budget=0)
         tree.walk(derive_rng(0, 0))
         assert tree.size == 1 and tree.root.children == [None, None]
+
+
+def _preparation(rng):
+    """A random-sign Bell preparation or a random raw state: both leave every measurement to chance."""
+    if rng.random() < 0.5:
+        return BellRandomSignPreparation(bell_class="phi" if rng.random() < 0.5 else "psi", s0=float(rng.random()))
+    return circuit.RawPreparation(state=random_two_qubit_state(rng))
+
+
+def _assert_runs_equal_replay(prog, shots, seed):
+    """Counts-only and result-keeping runs against the per-shot replay, counts order included."""
+    replay = _replay(prog, shots, seed)
+    kept = run(prog, shots, seed, keep_results=True)
+    assert kept == replay and list(kept.counts) == list(replay.counts)
+    assert list(run(prog, shots, seed).counts.items()) == list(replay.counts.items())
+
+
+class TestLevelBuild:
+    """The block walk of counts-only runs, which builds each level's children in one numpy pass."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(3, 6),
+        shots=st.integers(engine._BULK_MIN_SHOTS, 300),
+        budget=st.sampled_from([1, 16, 64]),
+        block=st.sampled_from([64, engine._BLOCK_SHOTS]),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_high_entropy_programs_past_the_node_budget_equal_replay(
+        self, program_seed, rounds, shots, budget, block, seed
+    ):
+        # Every measurement draws, so almost every shot takes its own path; a small budget fills at once.
+        rng = np.random.default_rng(program_seed)
+        steps = []
+        for _ in range(rounds):
+            for particle in "AB":
+                steps += [ApplyRaw(particle=particle, operator=random_unitary(rng)), MeasureValue(particle=particle)]
+        prog = program(_preparation(rng), *steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "NODE_BUDGET", budget)
+            patch.setattr(engine, "_BLOCK_SHOTS", block)
+            _assert_runs_equal_replay(prog, shots, seed)
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        shots=st.integers(engine._BULK_MIN_SHOTS, 40),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_programs_with_more_than_64_drawing_steps_equal_replay(self, program_seed, shots, seed):
+        # Each round draws once for A, then repeats it (certain); some rounds also ask the relative bit.
+        rng = np.random.default_rng(program_seed)
+        steps = []
+        for _ in range(66):
+            steps += [ApplyRaw(particle="A", operator=random_unitary(rng)), MeasureValue(particle="A")]
+            steps += [MeasureValue(particle="A")] + ([MeasureRelative()] if rng.random() < 0.3 else [])
+        prog = program(_preparation(rng), *steps)
+        _assert_runs_equal_replay(prog, shots, seed)
+
+    # Relative draws; on Same the state is |00>, so A is certain and B draws after the Bell operator,
+    # while on Different A draws at once: the root's children sit at positions 2 and 4, so the
+    # level pass that builds their children starts its rows at both.
+    MIXED = program(
+        circuit.RawPreparation(state=core.TwoQubitState(0.6, 0.48, 0.64, 0)),
+        MeasureRelative(),
+        MeasureValue(particle="A"),
+        ApplyBellOperator(),
+        MeasureValue(particle="B"),
+        ApplyNamed(name="flip", particle="A"),
+        MeasureRelative(),
+        ApplyBellOperator(),
+        MeasureValue(particle="A"),
+    )
+
+    def test_the_mixed_program_mixes_positions_in_one_level(self):
+        tree = engine._BranchTree(self.MIXED, engine.NODE_BUDGET)
+        tree.walk_block(engine.block_rows(3, 0, 200), 200, False)
+        level = [child for child in tree.root.children if isinstance(child, engine._Node)]
+        assert sorted(node.at[0] for node in level) == [2, 4]
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(shots=st.integers(engine._BULK_MIN_SHOTS, 500), seed=st.integers(0, engine.MAX_SEED))
+    def test_levels_that_mix_action_positions_equal_replay(self, shots, seed):
+        _assert_runs_equal_replay(self.MIXED, shots, seed)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(program_seed=st.integers(0, 2**32 - 1))
+    def test_a_level_pass_equals_the_shot_code_bit_for_bit(self, program_seed):
+        # Level by level, the children `_child` builds and those one `_build_level` call builds agree:
+        # p exactly, positions, keys and tokens, and every amplitude's real and imaginary magnitudes.
+        prog = random_program(np.random.default_rng(program_seed))
+        shot_tree, pass_tree = engine._BranchTree(prog, 10**6), engine._BranchTree(prog, 10**6)
+        level = [(shot_tree.root, pass_tree.root)] if isinstance(shot_tree.root, engine._Node) else []
+        while level:
+            wanted = [(pair, branch, 0.0 if branch == 0 else pair[0].p) for pair in level[:64] for branch in (0, 1)]
+            built = pass_tree._build_level([(pair[1], branch, draw) for pair, branch, draw in wanted])
+            level = []
+            for ((shot_node, _), branch, draw), child in zip(wanted, built):
+                reference = shot_tree._child(shot_node, branch, draw)
+                if isinstance(reference, engine._Node):
+                    position, state, records = reference.at
+                    assert child.p == reference.p and child.at[0] == position
+                    assert child.at[2] == tuple(outcome_key((record,)) for record in records)
+                    parts = np.abs(np.array(state.amplitudes).view(np.float64))
+                    assert np.abs(child.at[1].view(np.float64)).tolist() == parts.tolist()
+                    level.append((reference, child))
+                else:
+                    assert child == (None, reference[1])
+
+    def test_first_outcome_p_squares_as_python_does(self):
+        # |g00| = x with x ** 2 != x * x (libm's pow against numpy's square): p must take Python's.
+        x = next(v for v in np.random.default_rng(0).random(10**5).tolist() if v**2 != v * v)
+        state = core.TwoQubitState(x, 0, 0, math.sqrt(1 - x**2))
+        vectors = np.array([state.vector])
+        for particle in (None, "A", "B"):
+            assert engine._first_p(vectors, particle) == [engine._first_outcome(state, particle)[0]]
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(level_seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40))
+    def test_both_ways_of_splitting_a_level_agree(self, level_seed, width):
+        # Node by node for narrow levels, one stable sort for wide ones: the same groups, in the same order.
+        rng = np.random.default_rng(level_seed)
+        row, owner = rng.random(300), rng.integers(0, width, 300)
+        level = [
+            (engine._Node(float(rng.random()), None, [None, None]), np.flatnonzero(owner == node))
+            for node in range(width)
+            if (owner == node).any()
+        ]
+        split = {}
+        for limit in (0, 10**6):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_SPLIT_EACH_MAX", limit)
+                split[limit] = [(id(node), b, draw, cols.tolist()) for node, b, draw, cols in engine._split(level, row)]
+        assert split[0] == split[10**6]
+        assert sorted(c for _, _, _, columns in split[0] for c in columns) == list(range(300))
+        assert all(draw == row[columns[0]] for _, _, draw, columns in split[0])
+
+    def test_counts_only_blocks_build_no_result_objects(self, monkeypatch):
+        prog = program(
+            BellRandomSignPreparation(bell_class="psi", s0=0.3),
+            ApplyBellOperator(),
+            MeasureValue(particle="A"),
+            MeasureRelative(),
+            ApplyNamed(name="flip", particle="B"),
+            MeasureValue(particle="B"),
+        )
+        shots, seed = 300, 12
+        replay = _replay(prog, shots, seed)
+        # Only the root's children are built by the shot code; below them no result object is made.
+        root_builds, building = [], []
+        shot_child = engine._BranchTree._child
+
+        def child(tree, node, branch, draw):
+            assert node is tree.root, "a counts-only block run built a node below the root's children"
+            root_builds.append(branch)
+            building.append(True)
+            try:
+                return shot_child(tree, node, branch, draw)
+            finally:
+                building.pop()
+
+        def forbidden(original):
+            def guarded(*args, **kwargs):
+                assert building, "a counts-only block run built a per-shot object below the root's children"
+                return original(*args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(engine._BranchTree, "_child", child)
+        for name in ("apply2", "measure_value", "measure_relative", "ShotResult", "MeasurementRecord"):
+            monkeypatch.setattr(engine, name, forbidden(getattr(engine, name)))
+        assert list(run(prog, shots, seed).counts.items()) == list(replay.counts.items())
+        assert root_builds == [0, 1]
 
 
 def test_import_starts_no_process_machinery():
