@@ -51,6 +51,8 @@ from .core import (
 )
 from .engine import (
     EPS_DET,
+    CompiledProgram,
+    InvalidProgram,
     MeasurementRecord,
     RelativeBit,
     RelativeBitResult,

@@ -358,12 +358,12 @@ def check_flip_toggle() -> CheckResult:
     return _check("flip-toggle", worst, tol)
 
 
-def _program(source: str) -> circuit.CircuitProgram:
-    """One of the groups' fixed programs, which must parse cleanly."""
+def _program(source: str) -> engine.CompiledProgram:
+    """One of the groups' fixed programs, which must parse cleanly, compiled once."""
     program, diags = circuit.parse(source)
     if program is None or diags:
         raise ValueError(f"check program does not parse: {'; '.join(d.render() for d in diags)}")
-    return program
+    return engine.compile(program)
 
 
 def check_measurement_theorems() -> CheckResult:

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import checks
+from . import checks, engine
 from .bell import StateClassification, classify, separability_defect, BellDescriptor, bell_state
 from .circuit import (
     BASIS_LABELS,
@@ -24,7 +24,6 @@ from .circuit import (
     MeasureValue,
     ascii_integer,
     parse,
-    validate,
 )
 from .core import (
     EPS_NORM,
@@ -227,20 +226,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"bellkit: cannot read {args.file}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     try:
-        source = data.decode("utf-8")
+        source = data.decode("utf-8-sig")  # a leading byte-order mark is not part of the program
     except UnicodeDecodeError as exc:
         print(f"{args.file}:1:1: error: file is not valid UTF-8 ({exc.reason})", file=sys.stderr)
         return 2
 
     program, diagnostics = parse(source)
-    if program is None:
-        for diag in diagnostics:
-            print(f"{args.file}:{diag.render()}", file=sys.stderr)
-        return 2
-    issues = validate(program)
-    for diag in issues:
+    try:
+        compiled = None if program is None else engine.compile(program)
+    except engine.InvalidProgram as exc:
+        compiled, diagnostics = None, exc.diagnostics
+    for diag in diagnostics if compiled is None else compiled.warnings:
         print(f"{args.file}:{diag.render()}", file=sys.stderr)
-    if any(diag.severity == "error" for diag in issues):
+    if compiled is None:
         return 2
 
     # A measurement-free text report shows shot 0's final state, taken from the run.
@@ -249,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     keep_results = args.trace or shows_final
     stats = run(
-        program,
+        compiled,
         shots=args.shots,
         seed=args.seed,
         keep_results=keep_results,

@@ -31,6 +31,10 @@ operations and keeps only outcome keys; a run that keeps its results builds
 them with the shot code, once per node, and so does every run for the root's
 one or two children, where the shot code is the faster.  `derive_rng` and the
 one-shot `walk` stay the reference; shorter runs use them per shot.
+
+`compile` validates a program once and resolves its preparation and steps.  `run`
+and `run_shot` take its `CompiledProgram`, or compile a plain program on entry, so
+they never sample a program that `validate` rejects.
 """
 
 from __future__ import annotations
@@ -55,9 +59,11 @@ from .circuit import (
     BellPreparation,
     BellRandomSignPreparation,
     CircuitProgram,
+    Diagnostic,
     MeasureRelative,
     MeasureValue,
     RawPreparation,
+    validate,
 )
 from .core import (
     EPS_ZERO,
@@ -78,6 +84,9 @@ from ._streams import block_rows, draws  # draws stays importable as engine.draw
 
 __all__ = [
     "EPS_DET",
+    "CompiledProgram",
+    "InvalidProgram",
+    "compile",
     "RandomStream",
     "RelativeBit",
     "RelativeBitResult",
@@ -291,41 +300,67 @@ def derive_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shot_index])))
 
 
-def _prepare(program: CircuitProgram, rng: RandomStream) -> TwoQubitState:
-    prep = program.preparation
-    if isinstance(prep, BasisPreparation):
-        return basis_state(prep.index)
-    if isinstance(prep, BellPreparation):
-        return bell_state(prep.descriptor)
-    if isinstance(prep, BellRandomSignPreparation):
-        sign = 1 if rng.random() < _P_PLUS_SIGN else -1
-        return bell_state(BellDescriptor(prep.bell_class, sign, prep.s0))
-    if isinstance(prep, RawPreparation):
-        return prep.state
-    raise TypeError(f"unknown preparation {prep!r}")
-
-
 def _lift_for(particle: Particle, op) -> TwoQubitOperator:
     return lift_a(op) if particle == "A" else lift_b(op)
 
 
-def _compiled_steps(program: CircuitProgram) -> list[tuple]:
-    """Resolve each step to an action tag plus a precomputed operator."""
-    compiled: list[tuple] = []
+class InvalidProgram(ValueError):
+    """A program that `validate` rejects; `diagnostics` is its full sorted list, warnings included."""
+
+    def __init__(self, diagnostics: list[Diagnostic]) -> None:
+        super().__init__("; ".join(d.render() for d in diagnostics if d.severity == "error"))
+        self.diagnostics = tuple(diagnostics)
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A program that `validate` accepts, its warnings, and its preparation and steps resolved:
+    `prepared` is the prepared state, or a random sign's states of sign + and -, of which a draw
+    takes one, and `actions` holds per step ("apply", lifted operator) or ("measure", step
+    index, particle or None for a relative measurement)."""
+
+    program: CircuitProgram
+    warnings: tuple[Diagnostic, ...]
+    prepared: tuple[TwoQubitState, ...]
+    actions: tuple[tuple, ...]
+    shots = property(lambda self: self.program.shots)
+    seed = property(lambda self: self.program.seed)
+
+
+def compile(program: Union[CircuitProgram, CompiledProgram]) -> CompiledProgram:
+    """Validate `program` once and resolve its preparation and steps; raise InvalidProgram on any
+    error.  A compiled program is returned as it is."""
+    if isinstance(program, CompiledProgram):
+        return program
+    diagnostics = validate(program)
+    if any(d.severity == "error" for d in diagnostics):
+        raise InvalidProgram(diagnostics)
+    prep = program.preparation
+    if isinstance(prep, BasisPreparation):
+        prepared = (basis_state(prep.index),)
+    elif isinstance(prep, BellPreparation):
+        prepared = (bell_state(prep.descriptor),)
+    elif isinstance(prep, BellRandomSignPreparation):
+        prepared = tuple(bell_state(BellDescriptor(prep.bell_class, sign, prep.s0)) for sign in (1, -1))
+    elif isinstance(prep, RawPreparation):
+        prepared = (prep.state,)
+    else:
+        raise TypeError(f"unknown preparation {prep!r}")
+    actions = []
     for index, step in enumerate(program.steps):
         if isinstance(step, ApplyNamed):
-            compiled.append(("apply", _lift_for(step.particle, named_operator(step.name))))
+            actions.append(("apply", _lift_for(step.particle, named_operator(step.name))))
         elif isinstance(step, ApplyBellOperator):
-            compiled.append(("apply", bell_operator()))
+            actions.append(("apply", bell_operator()))
         elif isinstance(step, ApplyRaw):
-            compiled.append(("apply", _lift_for(step.particle, step.operator)))
+            actions.append(("apply", _lift_for(step.particle, step.operator)))
         elif isinstance(step, MeasureRelative):
-            compiled.append(("measure", index, None))
+            actions.append(("measure", index, None))
         elif isinstance(step, MeasureValue):
-            compiled.append(("measure", index, step.particle))
+            actions.append(("measure", index, step.particle))
         else:
             raise TypeError(f"unknown step {step!r}")
-    return compiled
+    return CompiledProgram(program, tuple(diagnostics), prepared, tuple(actions))
 
 
 def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
@@ -409,19 +444,19 @@ def _check_finite(vectors: np.ndarray) -> None:
 
 
 class _BranchTree:
-    """One program's lazily built branch tree; leaves are `_Leaf`s."""
+    """One program's lazily built branch tree; leaves are `_Leaf`s.  Action 0 prepares."""
 
-    def __init__(self, program: CircuitProgram, budget: int) -> None:
-        self.program = program
-        self.actions = [("prepare",), *_compiled_steps(program)]
+    def __init__(self, program: Union[CircuitProgram, CompiledProgram], budget: int) -> None:
+        compiled = compile(program)
+        self.prepared, self.actions = compiled.prepared, (("prepare",), *compiled.actions)
         self.budget, self.size = budget, 1
-        drawn = isinstance(program.preparation, BellRandomSignPreparation)  # the sign is drawn
+        drawn = len(self.prepared) == 2  # the sign is drawn
         self.root = _Node(_P_PLUS_SIGN, (0, None, ()), [None, None]) if drawn else self._build(0, None, ())
 
     def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream], first=None):
         """Run one action; `first` is a measurement's already known `_first_outcome`."""
         if action[0] == "prepare":
-            return _prepare(self.program, rng), records
+            return self.prepared[0 if len(self.prepared) == 1 or rng.random() < _P_PLUS_SIGN else 1], records
         if action[0] == "apply":
             return apply2(action[1], state), records
         if action[2] is None:
@@ -464,13 +499,13 @@ class _BranchTree:
             node = self._child(node, 0 if draw < node.p else 1, draw)
         return node
 
-    def _vector_at(self, node: _Node, draw: float) -> tuple:
+    def _vector_at(self, node: _Node, branch: int) -> tuple:
         """The `at` of a node the shot code built (the root or a child of it) as `_build_level`
-        holds it: (position, amplitude vector, outcome tokens); `draw` took the branch of a
-        random-sign root."""
+        holds it: (position, amplitude vector, outcome tokens); a random-sign root's `branch`
+        is its sign."""
         position, state, records = node.at
         if position == 0:  # the random sign is the drawn step
-            state = self._step(self.actions[0], None, (), SimpleNamespace(random=lambda: draw))[0]
+            state = self.prepared[branch]
         return position, state.vector, tuple(outcome_key((record,)) for record in records)
 
     def _build_level(self, missing: list[tuple[_Node, int, float]]) -> list:
@@ -485,7 +520,7 @@ class _BranchTree:
         branch depend on magnitudes only, which equal `_child`'s bit for bit, so
         the children equal `_child`'s up to the signs of zero amplitudes.
         """
-        ats = [node.at if type(node.at[1]) is np.ndarray else self._vector_at(node, draw) for node, _, draw in missing]
+        ats = [node.at if type(node.at[1]) is np.ndarray else self._vector_at(node, b) for node, b, _ in missing]
         outcome, tokens = [branch for _, branch, _ in missing], [at[2] for at in ats]
         entering = {}  # rows by the position of their first step
         for row, at in enumerate(ats):
@@ -599,7 +634,7 @@ def _checked(rows: Iterator[np.ndarray], rng: np.random.Generator) -> Iterator[n
         yield row
 
 
-def _leaf_groups(program: CircuitProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
+def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
     """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
 
     Runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()``
@@ -625,8 +660,8 @@ def _leaf_groups(program: CircuitProgram, shots: int, seed: int, keep: bool) -> 
         yield tree.walk(derive_rng(seed, index)), 1, index
 
 
-def run_shot(program: CircuitProgram, rng: RandomStream) -> ShotResult:
-    """Execute one shot: prepare, apply steps in order, record measurements."""
+def run_shot(program: Union[CircuitProgram, CompiledProgram], rng: RandomStream) -> ShotResult:
+    """Execute one shot (of a program compiled once, in a loop): prepare, apply steps, record measurements."""
     return _BranchTree(program, budget=0).walk(rng)[0]
 
 
@@ -641,7 +676,7 @@ def _integer(name: str, value) -> int:
 
 
 def run(
-    program: CircuitProgram,
+    program: Union[CircuitProgram, CompiledProgram],
     shots: Optional[int] = None,
     seed: Optional[int] = None,
     *,
@@ -650,10 +685,12 @@ def run(
 ) -> ShotStatistics:
     """Run the program for `shots` independent shots and aggregate outcomes.
 
-    shots/seed default to the program's own settings; they and `workers` must
-    be integers (bool and float are a TypeError).  `workers` must be >= 1 and
-    has no effect; it is accepted for compatibility.
+    A plain program is compiled first (InvalidProgram if `validate` rejects it,
+    whatever `shots` is).  shots/seed default to the program's own settings;
+    they and `workers` must be integers (bool and float are a TypeError).
+    `workers` must be >= 1 and has no effect; it is accepted for compatibility.
     """
+    program = compile(program)
     shots = _integer("shots", program.shots if shots is None else shots)
     seed = _integer("seed", program.seed if seed is None else seed)
     workers = _integer("workers", workers)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from bellkit import circuit
@@ -23,6 +25,23 @@ class ScriptedStream:
         value = self.values[self.consumed]
         self.consumed += 1
         return value
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Wrap bellkit.<module>.<name> wherever a bellkit module binds it; returns the list of
+    each call's positional arguments, which grows as the wrapper is called."""
+    original, calls = getattr(sys.modules[f"bellkit.{module}"], name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, bound in list(sys.modules.items()):
+        if key == "bellkit" or key.startswith("bellkit."):
+            for attribute, value in list(vars(bound).items()):
+                if value is original:
+                    monkeypatch.setattr(bound, attribute, counting)
+    return calls
 
 
 def random_program(rng: np.random.Generator) -> circuit.CircuitProgram:

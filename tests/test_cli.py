@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_program
+from helpers import count_calls, random_program
 
 import bellkit
 from bellkit import checks, circuit, cli, engine
@@ -279,6 +279,27 @@ class TestRunFailures:
         assert code == 2 and out == ""
         assert err == f"{path}:1:1: error: file is not valid UTF-8 (invalid start byte)\n"
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_program(self, tmp_path, capsys):
+        for source in (SAMPLED, PIPELINE):
+            plain, marked = tmp_path / "plain.bk", tmp_path / "marked.bk"
+            plain.write_bytes(source.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + source.encode())
+            for options in ([], ["--trace"], ["--trace", "--format", "json"]):
+                code, out, err = invoke(capsys, ["run", str(marked), *options])
+                expected = invoke(capsys, ["run", str(plain), *options])
+                assert (code, out, err.replace(str(marked), str(plain))) == expected
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"prepare basis 00\n\xef\xbb\xbfmeasure value A\n", 2), (b"\xef\xbb\xbf" * 2 + b"measure value A\n", 1)],
+    )
+    def test_a_byte_order_mark_after_the_first_is_an_error(self, tmp_path, capsys, data, line):
+        path = tmp_path / "marked.bk"
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, ["run", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"{path}:{line}:1: error: unknown keyword '\\ufeff")  # as repr escapes it
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -311,6 +332,37 @@ class TestRunFailures:
     def test_help_exits_0(self, capsys):
         code, out, _ = invoke(capsys, ["--help"])
         assert code == 0 and "run" in out and "sweep" in out
+
+
+INVALID = (
+    "prepare raw 1 0 1 0 1 0 1 0\nmeasure value A\n",  # norm 2
+    "prepare raw 0.1 0 0 0 0 0 0 0\nmeasure value A\n",  # norm 0.1
+    "prepare basis 00\napply raw A 2 0 0 0 0 0 2 0\nmeasure value A\n",  # not unitary
+    "prepare raw 0.1 0 0 0 0 0 0 0\nshots 0\n",  # two errors and a warning
+)
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("source", INVALID)
+    def test_the_library_rejects_what_the_cli_rejects_with_the_same_diagnostics(self, tmp_path, capsys, source):
+        path = write(tmp_path, "invalid.bk", source)
+        code, out, err = invoke(capsys, ["run", path])
+        assert code == 2 and out == ""
+        expected = [line.removeprefix(f"{path}:") for line in err.splitlines()]
+        prog, _ = circuit.parse(source)
+        for call in (lambda: run(prog, 3), lambda: run_shot(prog, derive_rng(0, 0)), lambda: engine.compile(prog)):
+            with pytest.raises(engine.InvalidProgram) as raised:
+                call()
+            assert [d.render() for d in raised.value.diagnostics] == expected
+
+    def test_bellkit_run_validates_once(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "circuit", "validate")
+        for source in (DETERMINISTIC, PIPELINE, SAMPLED, INVALID[2], "prepare basis 00\napply\n"):
+            path = write(tmp_path, "program.bk", source)
+            for options in ([], ["--trace"], ["--trace", "--format", "json"], ["--shots", "17"]):
+                calls.clear()
+                invoke(capsys, ["run", path, *options])
+                assert len(calls) == (0 if circuit.parse(source)[0] is None else 1)  # none if it does not parse
 
 
 class TestDemoCommand:

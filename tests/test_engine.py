@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ScriptedStream, random_program
+from helpers import ScriptedStream, count_calls, random_program
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -279,6 +279,11 @@ class TestRun:
             run(prog, seed=2**64)
         with pytest.raises(ValueError, match="workers"):
             run(prog, workers=0)
+        own = program(BasisPreparation(index=0), MeasureValue(particle="A"), shots=0)  # whatever shots= says
+        with pytest.raises(engine.InvalidProgram, match="shots must be >= 1, got 0"):
+            run(own, shots=5)
+        with pytest.raises(engine.InvalidProgram, match="shots must be >= 1, got 0"):
+            run_shot(own, ScriptedStream([]))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -320,6 +325,31 @@ class TestRun:
         prog = program(BasisPreparation(index=3), shots=8, seed=0)
         stats = run(prog)
         assert stats.counts == {"none": 8}
+
+
+class TestCompile:
+    def test_a_compiled_program_holds_its_program_warnings_and_settings(self):
+        prog = program(BellRandomSignPreparation(bell_class="psi", s0=0.3), shots=7, seed=5)
+        compiled = engine.compile(prog)
+        assert compiled.program is prog and (compiled.shots, compiled.seed) == (7, 5)
+        assert compiled.warnings == tuple(circuit.validate(prog)) and len(compiled.warnings) == 1
+        assert compiled.prepared == tuple(bell_state(BellDescriptor("psi", sign, 0.3)) for sign in (1, -1))
+        assert engine.compile(compiled) is compiled and issubclass(engine.InvalidProgram, ValueError)
+
+    def test_a_compiled_program_is_never_validated_again(self, monkeypatch):
+        compiled = engine.compile(program(BellRandomSignPreparation(bell_class="phi"), MeasureValue(particle="A")))
+        calls = count_calls(monkeypatch, "circuit", "validate")
+        for shots in (1, engine._BULK_MIN_SHOTS, 100):
+            run(compiled, shots, 3)
+        run_shot(compiled, derive_rng(3, 0))
+        run(compiled.program, 1, 3)
+        assert len(calls) == 1
+
+    def test_star_import_leaves_the_builtin_compile_alone(self):
+        namespace = {}
+        exec("from bellkit import *", namespace)
+        assert "compile" not in namespace and {"CompiledProgram", "InvalidProgram"} <= set(namespace)
+        assert {"CompiledProgram", "InvalidProgram", "compile"} <= set(engine.__all__)
 
 
 def _replay(prog, shots, seed):
@@ -368,7 +398,9 @@ class TestBranchTree:
     )
     def test_run_equals_per_shot_replay(self, program_seed, shots, seed):
         prog = random_program(np.random.default_rng(program_seed))
-        assert run(prog, shots, seed, keep_results=True) == _replay(prog, shots, seed)
+        replay = _replay(prog, shots, seed)
+        assert run(prog, shots, seed, keep_results=True) == replay
+        assert run(engine.compile(prog), shots, seed, keep_results=True) == replay
 
     def test_run_past_the_node_budget_equals_replay(self):
         # About 20 draws per shot: a few hundred shots need more nodes than a run stores.
