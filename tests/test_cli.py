@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,20 @@ class TestMeasurementFreeReport:
                 assert "-0.707107+0.000000i" in out
         assert signs == {"0.707107+0.000000i", "-0.707107+0.000000i"}
 
+    def test_a_run_of_1e11_shots_prints_its_report(self, tmp_path, capsys):
+        # No shot but shot 0 runs: keeping one result per shot once ended in numpy's _ArrayMemoryError.
+        shots = "100000000000"
+        sample = str(Path(__file__).resolve().parents[1] / "programs" / "pipeline.bk")
+        code, out, _ = invoke(capsys, ["run", sample, "--shots", shots])
+        assert code == 0
+        assert out == (
+            f"shots: {shots}\nseed: 0\n\noutcome         count  frequency\nnone     {shots}  1.000000\n\n"
+            "final state: 0.000000+0.000000i 1.000000+0.000000i 0.000000+0.000000i 0.000000+0.000000i\n"
+            "classification: basis |01>\nrelative bit: Different\n"
+        )
+        code, out, _ = invoke(capsys, ["run", write(tmp_path, "sign.bk", self.SOURCE), "--shots", shots, "--format", "json"])
+        assert code == 0 and json.loads(out) == {"shots": int(shots), "seed": 0, "counts": {"none": int(shots)}}
+
 
 # The per-shot renderer cli.cmd_run used before it rendered each distinct
 # ShotResult once: the reference for every --trace report.
@@ -243,6 +258,57 @@ class TestTraceRendering:
         path = write(tmp_path, "free.bk", source)
         for seed in range(4):
             self.assert_matches_reference(capsys, path, program, engine._BULK_MIN_SHOTS + 6, seed)
+
+    def assert_seams_match(self, capsys, path, source):
+        # A report is written a chunk of shots at a time: entries on either side of a seam must splice.
+        program, _ = circuit.parse(source)
+        chunk = cli._TRACE_CHUNK_SHOTS
+        for shots in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            self.assert_matches_reference(capsys, path, program, shots, 5)
+
+    def test_runs_at_chunk_seams_match(self, tmp_path, capsys):
+        for number, source in enumerate((SAMPLED, "prepare bell-random-sign psi s0=0.6\napply bellop\n")):
+            self.assert_seams_match(capsys, write(tmp_path, f"seam{number}.bk", source), source)
+
+    def test_program_past_the_node_budget_matches_at_chunk_seams(self, tmp_path, capsys, monkeypatch):
+        # Every shot of this program reaches its own leaf, at about 1 ms a shot to run and render:
+        # a small chunk and node budget put its seams past the budget within 129 shots.
+        monkeypatch.setattr(cli, "_TRACE_CHUNK_SHOTS", 64)
+        monkeypatch.setattr(engine, "NODE_BUDGET", 64)
+        source = "prepare bell-random-sign phi\n" + "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n" * 10
+        program, _ = circuit.parse(source)
+        assert len({id(shot) for shot in run(program, 129, 5, keep_results=True).results}) == 129
+        self.assert_seams_match(capsys, write(tmp_path, "deep.bk", source), source)
+
+
+class _Sink:
+    """A stdout that keeps nothing but the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestTraceMemory:
+    @pytest.mark.parametrize("flags", [(), ("--format", "json")])
+    def test_a_report_is_not_held_in_memory(self, monkeypatch, flags):
+        sample = str(Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk")
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", sample, "--trace", "--shots", "50000", "--seed", "3", *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.written > 10_000_000
+        assert peak < sink.written / 4
 
 
 class TestRunFailures:
