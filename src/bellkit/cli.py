@@ -1,8 +1,8 @@
 """Command-line interface: run, demo, sweep, check.
 
-Exit codes: 0 success, 1 usage error, 2 parse/validate failure of a program
-file, 3 self-test failure (demo or check).  All report output is plain text,
-JSON, or CSV on stdout; diagnostics and errors go to stderr.  Output depends
+Exit codes: 0 success, 1 usage error or a --trace run out of memory, 2 parse/validate
+failure of a program file, 3 self-test failure (demo or check).  All report output is
+plain text, JSON, or CSV on stdout; diagnostics and errors go to stderr.  Output depends
 only on the arguments, so identical invocations produce identical bytes.
 """
 
@@ -20,7 +20,6 @@ from .circuit import (
     BASIS_LABELS,
     BellPreparation,
     CircuitProgram,
-    MeasureRelative,
     MeasureValue,
     ascii_integer,
     parse,
@@ -246,14 +245,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     if compiled is None:
         return 2
 
-    measures = any(isinstance(step, (MeasureRelative, MeasureValue)) for step in program.steps)
-    if args.trace or measures:
+    try:
         stats = run(compiled, shots=args.shots, seed=args.seed, keep_results=args.trace, workers=args.workers)
-        if args.trace and stats.results is None:
-            raise RuntimeError("the report needs the per-shot results, but the run kept none")
-    else:  # every shot of a measurement-free program has the outcome "none": no shot needs to run
-        shots = compiled.shots if args.shots is None else args.shots
-        stats = ShotStatistics(shots, compiled.seed if args.seed is None else args.seed, {"none": shots})
+    except MemoryError:  # --trace keeps one result per shot
+        if not args.trace:
+            raise
+        print("bellkit: out of memory: --trace keeps every shot's result; run fewer --shots", file=sys.stderr)
+        return 1
+    if args.trace and stats.results is None:
+        raise RuntimeError("the report needs the per-shot results, but the run kept none")
 
     if args.output_format == "json":
         if not args.trace:
@@ -266,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     lines = [f"shots: {stats.shots}", f"seed: {stats.seed}", ""]
     lines.extend(_render_counts_table(stats))
-    if not measures:  # a measurement-free text report shows shot 0's final state
+    if "none" in stats.counts:  # no shot measures: a text report shows shot 0's final state
         final = (stats.results[0] if args.trace else run_shot(compiled, derive_rng(stats.seed, 0))).final_state
         lines.append("")
         lines.append(f"final state: {_format_state(final)}")

@@ -14,8 +14,8 @@ The only operation required of a random stream is ``random() -> float``
 uniform on [0, 1); an outcome with probability p is realized when the draw
 is strictly below p.  A shot thus depends on a draw only through the side of
 p it falls on, so all shots walk one branch tree whose inner nodes are the
-steps that draw.  A node is built on first visit; a run stores at most
-NODE_BUDGET nodes and runs the branches past them unstored.
+steps that draw, with one child per side, or branch.  A node is built on first
+visit; a run stores at most NODE_BUDGET nodes and runs the branches past them unstored.
 
 Once a run has enough shots to repay a block's fixed cost, `run` computes the
 same ``PCG64(SeedSequence([s, i]))`` draws for blocks of shots at once
@@ -29,8 +29,9 @@ in one numpy pass over their stacked amplitudes (`_BranchTree._build_level`),
 which computes each probability with the scalar code's floating-point
 operations and keeps only outcome keys; a run that keeps its results builds
 them with the shot code, once per node, and so does every run for the root's
-one or two children, where the shot code is the faster.  `derive_rng` and the
-one-shot `walk` stay the reference; shorter runs use them per shot.
+one or two children, where the shot code is the faster.  Past the split only
+the branch is kept.  `derive_rng` and the one-shot `walk` stay the reference;
+shorter runs use them per shot; a counts-only run that measures nothing runs no shot.
 
 `compile` validates a program once and resolves its preparation and steps.  `run`
 and `run_shot` take its `CompiledProgram`, or compile a plain program on entry, so
@@ -109,6 +110,8 @@ _BLOCK_SHOTS = 4096  # shots per block: a peak of 0.9 MiB of seeding and walk ar
 _BULK_MIN_SHOTS = 16  # below this, a block's fixed cost exceeds per-shot derive_rng (BENCH_level_build.json)
 _SPLIT_EACH_MAX = 4  # levels this narrow split node by node, wider ones in one sort: fewer numpy calls (measured)
 _P_PLUS_SIGN = 0.5  # a random-sign preparation takes sign + when its draw is below this
+# Streams that draw onto branch 0 and 1 of any node: its p is 0.5 or inside (EPS_DET, 1 - EPS_DET).
+_BRANCH_STREAMS = (SimpleNamespace(random=lambda: 0.0), SimpleNamespace(random=lambda: 1.0))
 
 
 class RandomStream(Protocol):
@@ -477,12 +480,12 @@ class _BranchTree:
             state, records = self._step(action, state, records, None, first)  # draws nothing
         return ShotResult(records=records, final_state=state), outcome_key(records)
 
-    def _child(self, node: _Node, branch: int, draw: float):
-        """The child of `node` on `branch`, which `draw` took; built and stored on first visit."""
+    def _child(self, node: _Node, branch: int):
+        """The child of `node` on `branch`, built on first visit by replaying the branch, and stored."""
         child = node.children[branch]
         if child is None:
             position, state, records = node.at
-            replay = SimpleNamespace(random=lambda: draw)
+            replay = _BRANCH_STREAMS[branch]
             child = self._build(
                 position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None, None))
             )
@@ -495,8 +498,7 @@ class _BranchTree:
         """Take one shot from the root to its leaf, drawing from `rng` at each inner node."""
         node = self.root
         while isinstance(node, _Node):
-            draw = rng.random()
-            node = self._child(node, 0 if draw < node.p else 1, draw)
+            node = self._child(node, 0 if rng.random() < node.p else 1)
         return node
 
     def _vector_at(self, node: _Node, branch: int) -> tuple:
@@ -508,8 +510,8 @@ class _BranchTree:
             state = self.prepared[branch]
         return position, state.vector, tuple(outcome_key((record,)) for record in records)
 
-    def _build_level(self, missing: list[tuple[_Node, int, float]]) -> list:
-        """Build each (node, branch, draw) child in one numpy pass; no result objects are made.
+    def _build_level(self, missing: list[tuple[_Node, int]]) -> list:
+        """Build each (node, branch) child in one numpy pass; no result objects are made.
 
         Row i of an (m, 4) stack starts as its parent's state at the parent's
         drawing step, whose outcome is the branch.  Walking the actions from the
@@ -520,8 +522,8 @@ class _BranchTree:
         branch depend on magnitudes only, which equal `_child`'s bit for bit, so
         the children equal `_child`'s up to the signs of zero amplitudes.
         """
-        ats = [node.at if type(node.at[1]) is np.ndarray else self._vector_at(node, b) for node, b, _ in missing]
-        outcome, tokens = [branch for _, branch, _ in missing], [at[2] for at in ats]
+        ats = [node.at if type(node.at[1]) is np.ndarray else self._vector_at(node, b) for node, b in missing]
+        outcome, tokens = [branch for _, branch in missing], [at[2] for at in ats]
         entering = {}  # rows by the position of their first step
         for row, at in enumerate(ats):
             entering.setdefault(at[0], []).append(row)
@@ -561,9 +563,9 @@ class _BranchTree:
 
         The walk goes a level at a time and asks for a row only while a column
         is alive.  The ascending columns at a node split by the same
-        ``draw < node.p`` as `walk` (`_split`), and the level's missing
-        children are built together: by `_child`, with their results, if
-        `keep`, else by `_build_level`; a tree is walked one way only.  The
+        ``draw < node.p`` as `walk` (`_split`), and the level's missing (node,
+        branch) children are built together: by `_child`, with their results,
+        if `keep`, else by `_build_level`; a tree is walked one way only.  The
         root's children, at most two, are built by `_child` either way: the
         shot code builds one or two nodes faster than a numpy pass.  Returns
         each reached leaf with its columns, ordered by first column, so that
@@ -573,29 +575,29 @@ class _BranchTree:
         while level:
             row = next(rows)
             groups = _split(level, row)
-            children = [node.children[branch] for node, branch, _, _ in groups]
+            children = [node.children[branch] for node, branch, _ in groups]
             missing = [j for j, child in enumerate(children) if child is None]
             if missing:
-                wanted = [groups[j][:3] for j in missing]  # (node, branch, the draw that took it)
+                wanted = [groups[j][:2] for j in missing]  # (node, branch)
                 if keep or wanted[0][0] is self.root:
                     built = [self._child(*want) for want in wanted]
                 else:
                     built = self._build_level(wanted)
                     stored = wanted[: max(self.budget - self.size, 0)]  # as `_child` stores, in order
-                    for (node, branch, _), child in zip(stored, built):
+                    for (node, branch), child in zip(stored, built):
                         node.children[branch] = child
                     self.size += len(stored)
                 for j, child in zip(missing, built):
                     children[j] = child
             level = []
-            for (_, _, _, columns), child in zip(groups, children):
+            for (_, _, columns), child in zip(groups, children):
                 (level if isinstance(child, _Node) else leaves).append((child, columns))
         return sorted(leaves, key=lambda leaf: leaf[1][0])
 
 
-def _split(level: list[tuple[_Node, np.ndarray]], row: np.ndarray) -> list[tuple[_Node, int, float, np.ndarray]]:
-    """The (node, branch, draw of the first column, ascending columns) groups into which
-    ``row < node.p`` splits a level.
+def _split(level: list[tuple[_Node, np.ndarray]], row: np.ndarray) -> list[tuple[_Node, int, np.ndarray]]:
+    """The (node, branch, ascending columns) groups into which ``row < node.p`` splits a
+    level: a column's draw decides its branch and is not needed past it.
 
     A level of a few nodes splits node by node; a wider one in one stable sort
     of all its columns by (node, branch), which costs a fixed few numpy calls
@@ -606,7 +608,7 @@ def _split(level: list[tuple[_Node, np.ndarray]], row: np.ndarray) -> list[tuple
         for node, taken in level:
             below = row[taken] < node.p
             sides = (taken[below], taken[~below])
-            groups.extend((node, branch, float(row[side[0]]), side) for branch, side in enumerate(sides) if len(side))
+            groups.extend((node, branch, side) for branch, side in enumerate(sides) if len(side))
         return groups
     columns = np.concatenate([taken for _, taken in level])
     at = np.repeat(np.arange(len(level)), [len(taken) for _, taken in level])
@@ -615,10 +617,9 @@ def _split(level: list[tuple[_Node, np.ndarray]], row: np.ndarray) -> list[tuple
     columns, sizes = columns[order], np.bincount(code)
     reached = np.flatnonzero(sizes)
     ends = np.cumsum(sizes[reached]).tolist()
-    firsts = [0, *ends[:-1]]
     return [
-        (level[child >> 1][0], child & 1, draw, columns[first:end])
-        for child, draw, first, end in zip(reached.tolist(), row[columns[firsts]].tolist(), firsts, ends)
+        (level[child >> 1][0], child & 1, columns[first:end])
+        for child, first, end in zip(reached.tolist(), [0, *ends], ends)
     ]
 
 
@@ -640,6 +641,9 @@ def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) ->
     Runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()``
     differs from `block_rows` in shot 0, walk each shot with `derive_rng`.
     """
+    if not keep and all(action[0] != "measure" for action in program.actions):
+        yield (None, "none"), shots, slice(None)  # every shot's key: no tree is built, no stream derived
+        return
     tree = _BranchTree(program, NODE_BUDGET)
     if not isinstance(tree.root, _Node):  # no shot draws: no stream is derived
         yield tree.root, shots, slice(None)
@@ -707,9 +711,4 @@ def run(
         counts[key] = counts.get(key, 0) + count
         if keep_results:
             slots[index] = shot
-    return ShotStatistics(
-        shots=shots,
-        seed=seed,
-        counts=counts,
-        results=tuple(slots.tolist()) if keep_results else None,
-    )
+    return ShotStatistics(shots, seed, counts, tuple(slots.tolist()) if keep_results else None)

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -577,6 +578,27 @@ class TestEntryPoint:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"{path}:2:1: error: raw operator is not unitary (tolerance 1e-09)\n"
+
+    def test_a_trace_past_the_memory_limit_is_one_diagnostic(self):
+        # A 4 GiB address space fails the 1e11-shot trace's allocation under any overcommit policy.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        sample = str(Path(__file__).resolve().parents[1] / "programs" / "pipeline.bk")
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        done = {
+            flags: subprocess.run(
+                [sys.executable, "-m", "bellkit", "run", sample, "--shots", "100000000000", *flags],
+                env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
+            )
+            for flags in ((), ("--format", "json"), ("--trace",))
+        }
+        warning = f"{sample}:5:1: warning: program contains no measurements\n"
+        assert [each.returncode for each in done.values()] == [0, 0, 1]
+        assert done[()].stdout.startswith("shots: 100000000000\n") and json.loads(done[("--format", "json")].stdout)
+        traced = done[("--trace",)]
+        assert traced.stdout == "" and "Traceback" not in traced.stderr
+        assert traced.stderr == warning + "bellkit: out of memory: --trace keeps every shot's result; run fewer --shots\n"
 
     def test_a_closed_stdout_pipe_ends_the_run_quietly(self):
         # The report is megabytes, far past a pipe's buffer: the writer meets the closed pipe mid-print.

@@ -326,6 +326,22 @@ class TestRun:
         stats = run(prog)
         assert stats.counts == {"none": 8}
 
+    def test_a_counts_only_measurement_free_run_runs_no_shot(self, monkeypatch):
+        # Every shot's key is "none": not one stream is derived, so 1e11 shots take no time.
+        prog = program(BellRandomSignPreparation(bell_class="phi"), ApplyNamed(name="flip", particle="A"))
+        replay = _replay(prog, 40, 6)
+
+        def forbidden(*args):
+            raise AssertionError("a measurement-free counts-only run built a tree or derived a stream")
+
+        for name in ("_BranchTree", "block_rows", "derive_rng"):
+            monkeypatch.setattr(engine, name, forbidden)
+        stats = run(prog, 10**11, 6)
+        assert (stats.shots, stats.seed, stats.counts, stats.results) == (10**11, 6, {"none": 10**11}, None)
+        monkeypatch.undo()
+        assert run(prog, 40, 6, keep_results=True) == replay
+        assert run(prog, 40, 6).counts == replay.counts == {"none": 40}
+
 
 class TestCompile:
     def test_a_compiled_program_holds_its_program_warnings_and_settings(self):
@@ -558,6 +574,33 @@ class TestBranchTree:
         assert (record.outcome, record.probability, record.projected_norm) == (0, 1.0, 1.0)
         assert record.post_state == shot.final_state == core.basis_state(0)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "prepare raw {low} 0 0 0 {high} 0 0 0\nmeasure value A\n",  # p(A=0) just above EPS_DET
+            "prepare raw {high} 0 0 0 {low} 0 0 0\nmeasure value A\n",  # p(A=0) just below 1 - EPS_DET
+            "prepare raw {low} 0 {high} 0 0 0 0 0\nmeasure relative\n",  # p(Same) just above EPS_DET
+            "prepare raw {high} 0 {low} 0 0 0 0 0\nmeasure relative\n",  # p(Same) just below 1 - EPS_DET
+            "prepare bell-random-sign psi s0=0.6\napply flip A\n",  # the sign's p of 0.5
+        ],
+    )
+    def test_replaying_a_branch_equals_a_real_draw_on_its_side(self, source):
+        # A child is built from its branch alone; a real draw on that side must build the same child.
+        edge = 1.5 * engine.EPS_DET
+        prog, diags = circuit.parse(source.format(low=math.sqrt(edge), high=math.sqrt(1 - edge)))
+        assert prog is not None and not diags
+        replaying = engine._BranchTree(prog, engine.NODE_BUDGET)
+        root = replaying.root
+        assert root.p == 0.5 or engine.EPS_DET < min(root.p, 1 - root.p) < 2 * engine.EPS_DET
+        sides = ([0.0, root.p / 2, math.nextafter(root.p, 0)], [root.p, (1 + root.p) / 2, math.nextafter(1, 0)])
+        for branch, draws in enumerate(sides):
+            replayed = replaying._child(root, branch)
+            for draw in draws:
+                tree, stream = engine._BranchTree(prog, engine.NODE_BUDGET), ScriptedStream([draw])
+                position, state, records = tree.root.at
+                walked = tree._build(position + 1, *tree._step(tree.actions[position], state, records, stream))
+                assert stream.consumed == 1 and walked == replayed
+
     def test_run_shot_stores_no_nodes(self):
         prog = program(BellRandomSignPreparation(bell_class="psi"), MeasureValue(particle="A"))
         tree = engine._BranchTree(prog, budget=0)
@@ -658,11 +701,11 @@ class TestLevelBuild:
         shot_tree, pass_tree = engine._BranchTree(prog, 10**6), engine._BranchTree(prog, 10**6)
         level = [(shot_tree.root, pass_tree.root)] if isinstance(shot_tree.root, engine._Node) else []
         while level:
-            wanted = [(pair, branch, 0.0 if branch == 0 else pair[0].p) for pair in level[:64] for branch in (0, 1)]
-            built = pass_tree._build_level([(pair[1], branch, draw) for pair, branch, draw in wanted])
+            wanted = [(pair, branch) for pair in level[:64] for branch in (0, 1)]
+            built = pass_tree._build_level([(pair[1], branch) for pair, branch in wanted])
             level = []
-            for ((shot_node, _), branch, draw), child in zip(wanted, built):
-                reference = shot_tree._child(shot_node, branch, draw)
+            for ((shot_node, _), branch), child in zip(wanted, built):
+                reference = shot_tree._child(shot_node, branch)
                 if isinstance(reference, engine._Node):
                     position, state, records = reference.at
                     assert child.p == reference.p and child.at[0] == position
@@ -696,10 +739,12 @@ class TestLevelBuild:
         for limit in (0, 10**6):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "_SPLIT_EACH_MAX", limit)
-                split[limit] = [(id(node), b, draw, cols.tolist()) for node, b, draw, cols in engine._split(level, row)]
-        assert split[0] == split[10**6]
-        assert sorted(c for _, _, _, columns in split[0] for c in columns) == list(range(300))
-        assert all(draw == row[columns[0]] for _, _, draw, columns in split[0])
+                split[limit] = engine._split(level, row)
+            # Every column of a group lies on its branch's side of its node's p.
+            assert all(((row[columns] < node.p) == (branch == 0)).all() for node, branch, columns in split[limit])
+        same = [[(id(node), b, cols.tolist()) for node, b, cols in split[limit]] for limit in split]
+        assert same[0] == same[1]
+        assert sorted(c for _, _, columns in split[0] for c in columns.tolist()) == list(range(300))
 
     def test_counts_only_blocks_build_no_result_objects(self, monkeypatch):
         prog = program(
@@ -716,12 +761,12 @@ class TestLevelBuild:
         root_builds, building = [], []
         shot_child = engine._BranchTree._child
 
-        def child(tree, node, branch, draw):
+        def child(tree, node, branch):
             assert node is tree.root, "a counts-only block run built a node below the root's children"
             root_builds.append(branch)
             building.append(True)
             try:
-                return shot_child(tree, node, branch, draw)
+                return shot_child(tree, node, branch)
             finally:
                 building.pop()
 
