@@ -158,19 +158,26 @@ def _write_trace(head: str, results: tuple[ShotResult, ...], render, separator: 
     in one write per chunk of _TRACE_CHUNK_SHOTS shots: the head goes with the first
     chunk and the tail with the last.
 
-    `render(shot)` gives the text before and after a shot's index; it runs once per
-    distinct ShotResult: shots that reach one branch-tree leaf share its object, so a
-    report costs one render per leaf plus one splice per shot.  `results` keeps every
-    object alive, so an id stays unique for the whole report.
+    `render(shot)` gives the text before and after a shot's index.  Shots that reach one
+    branch-tree leaf share its ShotResult, so a leaf that recurs is rendered once and
+    each of its shots costs one splice.  A rendering outlives its chunk only once its
+    leaf has recurred: a program past NODE_BUDGET has a leaf of its own for most shots,
+    and keeping each one's rendering would hold a second copy of the report.  `results`
+    keeps every object alive, so an id stays unique for the whole report.
     """
-    rendered: dict[int, tuple[str, str]] = {}
+    recurring: dict[int, tuple[str, str]] = {}
     for start in range(0, len(results), _TRACE_CHUNK_SHOTS):
         stop = start + _TRACE_CHUNK_SHOTS
         pieces = []
+        seen_once: dict[int, tuple[str, str]] = {}
         for index, shot in enumerate(results[start:stop], start):
-            parts = rendered.get(id(shot))
+            parts = recurring.get(id(shot))
             if parts is None:
-                parts = rendered[id(shot)] = render(shot)
+                parts = seen_once.pop(id(shot), None)
+                if parts is None:
+                    parts = seen_once[id(shot)] = render(shot)
+                else:
+                    recurring[id(shot)] = parts
             pieces += (separator, parts[0], str(index), parts[1])
         if start == 0:
             pieces[0] = head
@@ -197,29 +204,43 @@ def _shot_text(shot: ShotResult) -> tuple[str, str]:
     return "shot ", ":\n" + "\n".join(lines)
 
 
-def _state_floats(s: TwoQubitState) -> list[float]:
-    return [x for g in s.amplitudes for x in (g.real, g.imag)]
+def _state_json(s: TwoQubitState, indent: str) -> str:
+    """A state as a JSON list of re/im pairs, its closing bracket at `indent`."""
+    pad = indent + "  "
+    floats = (",\n" + pad).join([float.__repr__(x) for g in s.amplitudes for x in (g.real, g.imag)])
+    return f"[\n{pad}{floats}\n{indent}]"
 
 
-def _record_payload(record) -> dict:
-    outcome = record.outcome.value if isinstance(record.outcome, RelativeBit) else record.outcome
-    return {
-        "step": record.step_index,
-        "kind": record.kind,
-        "particle": record.particle,
-        "outcome": outcome,
-        "probability": record.probability,
-        "projected_norm": record.projected_norm,
-        "post_state": _state_floats(record.post_state),
-    }
+def _record_json(record) -> str:
+    outcome = json.dumps(record.outcome.value) if isinstance(record.outcome, RelativeBit) else repr(record.outcome)
+    particle = "null" if record.particle is None else json.dumps(record.particle)
+    return (
+        "{\n"
+        f'          "kind": {json.dumps(record.kind)},\n'
+        f'          "outcome": {outcome},\n'
+        f'          "particle": {particle},\n'
+        f'          "post_state": {_state_json(record.post_state, "          ")},\n'
+        f'          "probability": {float.__repr__(record.probability)},\n'
+        f'          "projected_norm": {float.__repr__(record.projected_norm)},\n'
+        f'          "step": {record.step_index!r}\n'
+        "        }"
+    )
 
 
 def _shot_json(shot: ShotResult) -> tuple[str, str]:
     """One shot's JSON trace entry before and after the value of its "shot" key, which
-    sorts last, indented for its place in the report (an item of a top-level list)."""
-    entry = {"final_state": _state_floats(shot.final_state), "records": [_record_payload(r) for r in shot.records]}
-    body = json.dumps(entry, indent=2, sort_keys=True)
-    return body[: -len("\n}")].replace("\n", "\n    ") + ',\n      "shot": ', "\n    }"
+    sorts last, indented for its place in the report (an item of a top-level list).
+
+    The entry is formatted byte for byte as json.dumps(entry, indent=2, sort_keys=True)
+    lays it out: with `indent` set, json takes its pure-Python encoder, about three times
+    slower.  float.__repr__ is what json writes for a finite float, and every float here
+    is finite: TwoQubitState rejects the rest.
+    """
+    records = "[]"
+    if shot.records:
+        records = "[\n        " + ",\n        ".join(map(_record_json, shot.records)) + "\n      ]"
+    final_state = _state_json(shot.final_state, "      ")
+    return f'{{\n      "final_state": {final_state},\n      "records": {records},\n      "shot": ', "\n    }"
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ import pytest
 from helpers import count_calls, random_program
 
 import bellkit
-from bellkit import checks, circuit, cli, engine
+from bellkit import checks, circuit, cli, core, engine
 from bellkit.bell import classify
 from bellkit.engine import RelativeBit, derive_rng, run, run_shot
 
@@ -228,6 +228,36 @@ def _reference_trace_stdout(program, shots, seed, output_format) -> str:
     return "\n".join(lines) + "\n"
 
 
+class TestShotJson:
+    # Floats whose repr forms random programs need not reach: a signed zero, the least
+    # subnormal, exponents on either side, and a sum that is not its decimal.
+    ODD = core.TwoQubitState(complex(-0.0, 5e-324), complex(1e-07, 1e16), complex(0.1 + 0.2, -0.0), 0j)
+    PLAIN = core.TwoQubitState(0j, 1 + 0j, 0j, 0j)
+
+    def assert_matches_json_dumps(self, shot, index):
+        before, after = cli._shot_json(shot)
+        entry = {
+            "shot": index,
+            "records": [_reference_record_payload(r) for r in shot.records],
+            "final_state": [x for g in shot.final_state.amplitudes for x in (g.real, g.imag)],
+        }
+        # The entry as an item of the report's top-level "trace" list.
+        expected = json.dumps({"trace": [entry]}, indent=2, sort_keys=True)
+        assert '{\n  "trace": [\n    ' + before + str(index) + after + "\n  ]\n}" == expected
+
+    def test_leaves_match_json_dumps(self):
+        # Fields in order: step, kind, particle, outcome, probability, projected_norm, post_state.
+        records = (
+            engine.MeasurementRecord(0, "relative", None, RelativeBit.SAME, 0.1 + 0.2, 1e-07, self.ODD),
+            engine.MeasurementRecord(1, "relative", None, RelativeBit.DIFFERENT, 1.0, 1.0, self.PLAIN),
+            engine.MeasurementRecord(2, "value", "A", 0, 5e-324, -0.0, self.PLAIN),
+            engine.MeasurementRecord(13, "value", "B", 1, 1e16, 0.7071067811865476, self.ODD),
+        )
+        for shot_records in ((), records[:1], records):
+            for final in (self.ODD, self.PLAIN):
+                self.assert_matches_json_dumps(engine.ShotResult(shot_records, final), 4096)
+
+
 class TestTraceRendering:
     def assert_matches_reference(self, capsys, path, program, shots, seed):
         for flags, output_format in (((), "text"), (("--format", "json"), "json")):
@@ -310,6 +340,22 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert code == 0 and sink.written > 10_000_000
         assert peak < sink.written / 4
+
+    def test_a_leaf_seen_once_is_not_kept_past_its_chunk(self, monkeypatch):
+        # Past NODE_BUDGET most shots reach a leaf of their own: keeping every rendering
+        # would hold the report a second time.
+        monkeypatch.setattr(cli, "_TRACE_CHUNK_SHOTS", 8)
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        leaves = tuple(object() for _ in range(64))
+        entry = 100_000
+        tracemalloc.start()
+        try:
+            cli._write_trace("", leaves, lambda leaf: ("x" * entry, ""), ",", "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.stdout.written > 64 * entry
+        assert peak < 3 * 8 * entry  # a chunk's renderings and its write, not all 64
 
 
 class TestRunFailures:
