@@ -132,21 +132,17 @@ class StateClassification:
     def reconstruct(self) -> TwoQubitState:
         """Rebuild the classified state; raises on kind 'general'."""
         if self.kind == "basis":
-            if self.basis_index is None:
-                raise ValueError("a 'basis' classification without basis_index cannot be reconstructed")
-            b = basis_state(self.basis_index)
-            return TwoQubitState(*(self.phase * g for g in b.amplitudes))
-        if self.kind == "bell":
-            if self.bell is None:
-                raise ValueError("a 'bell' classification without bell cannot be reconstructed")
-            b = bell_state(self.bell)
-            return TwoQubitState(*(self.phase * g for g in b.amplitudes))
-        if self.kind == "product":
-            if self.factors is None:
-                raise ValueError("a 'product' classification without factors cannot be reconstructed")
-            t = tensor(*self.factors)
-            return TwoQubitState(*(self.phase * g for g in t.amplitudes))
-        raise ValueError("a 'general' classification carries no reconstruction")
+            name, member = "basis_index", basis_state
+        elif self.kind == "bell":
+            name, member = "bell", bell_state
+        elif self.kind == "product":
+            name, member = "factors", lambda factors: tensor(*factors)
+        else:
+            raise ValueError("a 'general' classification carries no reconstruction")
+        payload = getattr(self, name)
+        if payload is None:
+            raise ValueError(f"a '{self.kind}' classification without {name} cannot be reconstructed")
+        return TwoQubitState(*(self.phase * g for g in member(payload).amplitudes))
 
 
 def _unit_phase(z: complex) -> complex:

@@ -37,16 +37,17 @@ class CheckResult:
     detail: str = ""
 
 
+def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
 def random_single_qubit_state(rng: np.random.Generator) -> core.SingleQubitState:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return core.SingleQubitState.from_vector(v)
+    return core.SingleQubitState.from_vector(_unit_vector(rng, 2))
 
 
 def random_two_qubit_state(rng: np.random.Generator) -> core.TwoQubitState:
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return core.TwoQubitState.from_vector(v)
+    return core.TwoQubitState.from_vector(_unit_vector(rng, 4))
 
 
 def random_product_state(rng: np.random.Generator) -> core.TwoQubitState:
@@ -59,11 +60,22 @@ def random_operator(rng: np.random.Generator) -> core.SingleQubitOperator:
 
 
 def random_unitary(rng: np.random.Generator) -> core.SingleQubitOperator:
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(m)
+    q, r = np.linalg.qr(random_operator(rng).matrix)
     # Fix the QR phase ambiguity so the distribution is Haar-uniform.
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     return core.SingleQubitOperator(q)
+
+
+_STANDARD = tuple(bell.BellDescriptor(cls, sign) for cls in ("phi", "psi") for sign in (1, -1))
+
+
+def _random_descriptor(rng: np.random.Generator, margin: float) -> bell.BellDescriptor:
+    """A descriptor of random class, then random sign, then s0 uniform in [margin, 1 - margin]."""
+    return bell.BellDescriptor(
+        bell_class="phi" if rng.random() < 0.5 else "psi",
+        sign=1 if rng.random() < 0.5 else -1,
+        s0=float(rng.uniform(margin, 1 - margin)),
+    )
 
 
 def _rotation(theta: float) -> core.SingleQubitOperator:
@@ -186,12 +198,7 @@ def check_bell_operator_algebra() -> CheckResult:
     b = core.bell_operator()
     worst = _max_entry(b.matrix @ b.matrix - np.eye(4))
     worst = max(worst, _max_entry(b.matrix - b.matrix.conj().T))
-    expected_columns = (
-        bell.BellDescriptor("phi", 1),
-        bell.BellDescriptor("psi", 1),
-        bell.BellDescriptor("psi", -1),
-        bell.BellDescriptor("phi", -1),
-    )
+    expected_columns = [_STANDARD[i] for i in (0, 2, 3, 1)]  # phi+, psi+, psi-, phi-
     for index, descriptor in enumerate(expected_columns):
         produced = core.apply2(b, core.basis_state(index))
         worst = max(worst, _max_entry(produced.vector - bell.bell_state(descriptor).vector))
@@ -240,38 +247,27 @@ def check_norm_preservation() -> CheckResult:
 
 def check_bell_family() -> CheckResult:
     """Orthonormality, classification round trips, and degenerate endpoints."""
-    standard = [
-        bell.BellDescriptor(cls, sign)
-        for cls in ("phi", "psi")
-        for sign in (1, -1)
-    ]
     worst = 0.0
-    for i, d1 in enumerate(standard):
-        for j, d2 in enumerate(standard):
+    for i, d1 in enumerate(_STANDARD):
+        for j, d2 in enumerate(_STANDARD):
             overlap = core.inner(bell.bell_state(d1), bell.bell_state(d2))
             worst = max(worst, abs(overlap - (1.0 if i == j else 0.0)))
         worst = max(worst, abs(bell.separability_defect(bell.bell_state(d1)) - 0.5))
     rng = np.random.default_rng(104)
     for _ in range(1000):
-        descriptor = bell.BellDescriptor(
-            bell_class="phi" if rng.random() < 0.5 else "psi",
-            sign=1 if rng.random() < 0.5 else -1,
-            s0=float(rng.uniform(1e-6, 1 - 1e-6)),
-        )
+        descriptor = _random_descriptor(rng, 1e-6)
         got = bell.classify(bell.bell_state(descriptor))
         if got.kind != "bell" or got.bell != descriptor or abs(got.phase - 1.0) > bell.EPS_CLASS:
             return CheckResult(
                 "bell-family", False, f"classification round trip failed for {descriptor}"
             )
-    for cls in ("phi", "psi"):
-        for sign in (1, -1):
-            for s0, index in ((0.0, 3 if cls == "phi" else 1), (1.0, 0 if cls == "phi" else 2)):
-                got = bell.classify(bell.bell_state(bell.BellDescriptor(cls, sign, s0)))
-                expect_index = index
-                if got.kind != "basis" or got.basis_index != expect_index:
-                    return CheckResult(
-                        "bell-family", False, f"endpoint s0={s0} of {cls} did not classify as basis"
-                    )
+    for d in _STANDARD:
+        for s0, index in ((0.0, 3 if d.bell_class == "phi" else 1), (1.0, 0 if d.bell_class == "phi" else 2)):
+            got = bell.classify(bell.bell_state(bell.BellDescriptor(d.bell_class, d.sign, s0)))
+            if got.kind != "basis" or got.basis_index != index:
+                return CheckResult(
+                    "bell-family", False, f"endpoint s0={s0} of {d.bell_class} did not classify as basis"
+                )
     return _check("bell-family", worst, 1e-12)
 
 
@@ -323,20 +319,7 @@ def check_flip_toggle() -> CheckResult:
     flip_a = core.lift_a(core.named_operator("flip"))
     tol = 1e-12
     worst = 0.0
-    descriptors = [
-        bell.BellDescriptor(cls, sign)
-        for cls in ("phi", "psi")
-        for sign in (1, -1)
-    ]
-    descriptors += [
-        bell.BellDescriptor(
-            bell_class="phi" if rng.random() < 0.5 else "psi",
-            sign=1 if rng.random() < 0.5 else -1,
-            s0=float(rng.uniform(1e-3, 1 - 1e-3)),
-        )
-        for _ in range(100)
-    ]
-    for descriptor in descriptors:
+    for descriptor in _STANDARD + tuple(_random_descriptor(rng, 1e-3) for _ in range(100)):
         state = bell.bell_state(descriptor)
         flipped = core.apply2(flip_a, state)
         toggled_class = "psi" if descriptor.bell_class == "phi" else "phi"
@@ -379,16 +362,15 @@ def check_measurement_theorems() -> CheckResult:
         )
         if not projected.subnormalized:
             return CheckResult("measurement-theorems", False, "projected state lost its subnormalized flag")
-    for cls in ("phi", "psi"):
-        for sign in (1, -1):
-            source = f"prepare bell {cls} {'+' if sign == 1 else '-'}\nmeasure value A\nmeasure value B\n"
-            program = _program(source)
-            stats = engine.run(program, shots=200, seed=11)
-            allowed = {"A=0,B=0", "A=1,B=1"} if cls == "phi" else {"A=0,B=1", "A=1,B=0"}
-            if set(stats.counts) - allowed:
-                return CheckResult(
-                    "measurement-theorems", False, f"correlation law violated for {cls}: {stats.counts}"
-                )
+    for d in _STANDARD:
+        source = f"prepare bell {d.bell_class} {'+' if d.sign == 1 else '-'}\nmeasure value A\nmeasure value B\n"
+        program = _program(source)
+        stats = engine.run(program, shots=200, seed=11)
+        allowed = {"A=0,B=0", "A=1,B=1"} if d.bell_class == "phi" else {"A=0,B=1", "A=1,B=0"}
+        if set(stats.counts) - allowed:
+            return CheckResult(
+                "measurement-theorems", False, f"correlation law violated for {d.bell_class}: {stats.counts}"
+            )
     program = _program("prepare bell phi +\nmeasure value A\n")
     for index in range(50):
         shot = engine.run_shot(program, engine.derive_rng(3, index))

@@ -36,6 +36,7 @@ from .core import (
     Particle,
     SingleQubitOperator,
     TwoQubitState,
+    _reim_text,
     format_real,
     state_text,
 )
@@ -449,16 +450,14 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     prep = program.preparation
-    if isinstance(prep, RawPreparation):
-        n = prep.state.norm()
-        if abs(n - 1.0) > EPS_NORM:
-            line, column = prep.source_pos
-            diags.append(
-                Diagnostic(
-                    line, column, "error",
-                    f"raw preparation is not normalized (norm {format_real(n)}, tolerance {EPS_NORM:g})",
-                )
+    if isinstance(prep, RawPreparation) and prep.state.subnormalized:
+        line, column = prep.source_pos
+        diags.append(
+            Diagnostic(
+                line, column, "error",
+                f"raw preparation is not normalized (norm {format_real(prep.state.norm())}, tolerance {EPS_NORM:g})",
             )
+        )
     for step in program.steps:
         if isinstance(step, ApplyRaw) and not step.operator.is_unitary(EPS_OP):
             line, column = step.source_pos
@@ -509,23 +508,13 @@ def _format_preparation(prep: Preparation) -> str:
     raise TypeError(f"unknown preparation {prep!r}")
 
 
-def _format_matrix(op: SingleQubitOperator) -> str:
-    parts: list[str] = []
-    for row in range(2):
-        for col in range(2):
-            entry = op.entry(row, col)
-            parts.append(format_real(entry.real))
-            parts.append(format_real(entry.imag))
-    return " ".join(parts)
-
-
 def _format_step(step: Step) -> str:
     if isinstance(step, ApplyNamed):
         return f"apply {step.name} {step.particle}"
     if isinstance(step, ApplyBellOperator):
         return "apply bellop"
     if isinstance(step, ApplyRaw):
-        return f"apply raw {step.particle} {_format_matrix(step.operator)}"
+        return f"apply raw {step.particle} {_reim_text(step.operator.matrix.ravel().tolist())}"
     if isinstance(step, MeasureRelative):
         return "measure relative"
     if isinstance(step, MeasureValue):

@@ -190,13 +190,8 @@ def _shot_text(shot: ShotResult) -> tuple[str, str]:
     """One shot's text trace entry before and after its index: "shot i:" and its lines."""
     lines = []
     for record in shot.records:
-        outcome = (
-            f"rel={record.outcome.value}"
-            if isinstance(record.outcome, RelativeBit)
-            else f"{record.particle}={record.outcome}"
-        )
         lines.append(
-            f"  step {record.step_index} {record.kind} {outcome}"
+            f"  step {record.step_index} {record.kind} {engine.outcome_key((record,))}"
             f" p={record.probability:.6f} norm={record.projected_norm:.6f}"
             f" post {_format_state(record.post_state)}"
         )

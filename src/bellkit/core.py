@@ -338,6 +338,8 @@ def normalize(s: TwoQubitState) -> TwoQubitState:
     n = s.norm()
     if n <= EPS_ZERO:
         raise ValueError("cannot normalize a state with (near-)zero norm")
+    if n == math.inf:
+        raise ValueError("cannot normalize a state whose norm overflows")
     return TwoQubitState(s.g00 / n, s.g01 / n, s.g10 / n, s.g11 / n)
 
 
@@ -356,10 +358,11 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _reim_text(values) -> str:
+    """Complex values as alternating re/im, .17g each, space-separated."""
+    return " ".join(format_real(x) for z in values for x in (z.real, z.imag))
+
+
 def state_text(s: TwoQubitState) -> str:
     """Canonical rendering: g00 g01 g10 g11 as alternating re/im, .17g each."""
-    parts: list[str] = []
-    for z in s.amplitudes:
-        parts.append(format_real(z.real))
-        parts.append(format_real(z.imag))
-    return " ".join(parts)
+    return _reim_text(s.amplitudes)

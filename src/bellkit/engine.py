@@ -462,6 +462,9 @@ class _BranchTree:
             return self.prepared[0 if len(self.prepared) == 1 or rng.random() < _P_PLUS_SIGN else 1], records
         if action[0] == "apply":
             return apply2(action[1], state), records
+        # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS and `first=`, not from its
+        # outcome directly, and measure_value keeps its separability_defect check: bench/tracing.py times all three
+        # by name, and bench/test_bench.py fails when a block run stops calling them.
         if action[2] is None:
             record, state = measure_relative(state, rng, step_index=action[1], first=first)
         else:

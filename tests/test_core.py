@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bellkit import core
+from bellkit import core, engine
 from bellkit.checks import random_operator, random_single_qubit_state, random_unitary
 
 INV = math.sqrt(0.5)
@@ -69,6 +69,14 @@ class TestStates:
     def test_normalize_zero_vector_raises(self):
         with pytest.raises(ValueError):
             core.normalize(core.TwoQubitState(0, 0, 0, 1e-13))
+
+    def test_normalize_overflowing_norm_raises(self):
+        # Each square overflows, so the norm is inf: dividing by it would give the zero vector.
+        s = core.TwoQubitState(1e200, 1e200, 0, 0)
+        with pytest.raises(ValueError, match="cannot normalize a state whose norm overflows"):
+            core.normalize(s)
+        with pytest.raises(ValueError, match="cannot normalize a state whose norm overflows"):
+            engine.measure_value(s, "A", None)
 
     def test_inner_conjugate_linear_in_first_argument(self):
         s = core.TwoQubitState(1j, 0, 0, 0)
