@@ -83,9 +83,10 @@ def _rotation(theta: float) -> core.SingleQubitOperator:
     return core.SingleQubitOperator([[c, -s], [s, c]])
 
 
-def nearest_product_distance(
-    s: core.TwoQubitState, coarse: int = 12, starts: int = 4, iterations: int = 60
-) -> float:
+_GRID, _STARTS, _ITERATIONS = 12, 4, 60  # the nearest-product search: grid points per angle, starts, refinements
+
+
+def nearest_product_distance(s: core.TwoQubitState) -> float:
     """Distance from a normalized state to the closest normalized product state.
 
     Maximizes the overlap modulus |<a x b | s>|.  A coarse grid over the
@@ -98,21 +99,21 @@ def nearest_product_distance(
     """
     g = s.vector.reshape(2, 2)
     beta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi / 2, coarse),
-        np.linspace(0.0, 2 * math.pi, coarse, endpoint=False),
+        np.linspace(0.0, math.pi / 2, _GRID),
+        np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False),
         indexing="ij",
     )
     b_grid = np.stack(
         [np.cos(beta).ravel(), (np.sin(beta) * np.exp(1j * phi)).ravel()]
-    ).T  # (coarse^2, 2)
+    ).T  # (_GRID^2, 2)
     scores = np.linalg.norm(b_grid.conj() @ g.T, axis=1)
-    order = np.argsort(scores)[::-1][:starts]
+    order = np.argsort(scores)[::-1][:_STARTS]
 
     best = 0.0
     for index in order:
         b = b_grid[index]
         value = 0.0
-        for _ in range(iterations):
+        for _ in range(_ITERATIONS):
             w = g @ b.conj()
             a = w / np.linalg.norm(w)
             u = g.T @ a.conj()
@@ -131,8 +132,8 @@ def _max_entry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _check(name: str, worst: float, tol: float, extra: str = "") -> CheckResult:
-    detail = f"max deviation {worst:.3e} (tolerance {tol:g}){extra}"
+def _check(name: str, worst: float, tol: float) -> CheckResult:
+    detail = f"max deviation {worst:.3e} (tolerance {tol:g})"
     return CheckResult(name=name, passed=worst <= tol, detail=detail)
 
 
@@ -287,8 +288,7 @@ def check_factorization() -> CheckResult:
         classified = bell.classify(state)
         if classified.kind not in ("product", "basis"):
             return CheckResult("factorization", False, f"product state classified as {classified.kind}")
-        if classified.kind != "general":
-            worst = max(worst, _max_entry(classified.reconstruct().vector - state.vector))
+        worst = max(worst, _max_entry(classified.reconstruct().vector - state.vector))
     for descriptor_sign in (1, -1):
         state = bell.bell_state(bell.BellDescriptor("phi", descriptor_sign))
         if bell.factorize(state) is not None:

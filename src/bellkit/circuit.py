@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bell import BellClass, BellDescriptor
 from .core import (
@@ -174,8 +174,7 @@ def ascii_integer(text: str) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     column: int  # 1-based
 

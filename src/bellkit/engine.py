@@ -224,19 +224,14 @@ def relative_bit(s: TwoQubitState) -> RelativeBitResult:
 
 
 def measure_relative(
-    s: TwoQubitState,
-    rng: Optional[RandomStream],
-    step_index: int = 0,
-    *,
-    first: Optional[_First] = None,
+    s: TwoQubitState, rng: Optional[RandomStream], step_index: int = 0
 ) -> tuple[MeasurementRecord, TwoQubitState]:
     """Measure the same/different bit, collapsing onto the realized diagonal.
 
     Deterministic inputs (one diagonal empty within EPS_DET) consume no draw
-    and pass the state through unchanged.  `first` is ``_first_outcome(s,
-    None)`` when the caller has already computed it.
+    and pass the state through unchanged.
     """
-    p_same, outcome, _ = _first_outcome(s, None) if first is None else first
+    p_same, outcome, _ = _first_outcome(s, None)
     if outcome is not None:
         post, probability, projected_norm = s, 1.0, 1.0
     else:
@@ -427,13 +422,15 @@ def _collapse(vectors: np.ndarray, particle: Optional[Particle], outcomes: list[
 
     The magnitudes equal the scalar code's bit for bit: the norm is `core._norm`'s, and
     dividing each part by it is what CPython's ``complex / float`` does, up to the sign of
-    a zero.  No part exceeds the norm, so the result is finite.  A collapse zeroes a row
-    or a column of the coefficient matrix, so unlike `measure_value` it needs no
-    separability check: the defect is exactly 0.
+    a zero.  As `normalize`, it refuses a (near-)zero or an infinite norm.  A collapse
+    zeroes a row or a column of the coefficient matrix, so unlike `measure_value` it needs
+    no separability check: the defect is exactly 0.
     """
     norms = _pair_norms(np.take_along_axis(vectors, _KEPT[particle][outcomes], axis=1).tolist())
     if min(norms) <= EPS_ZERO:
         raise ValueError("cannot normalize a state with (near-)zero norm")
+    if max(norms) == math.inf:
+        raise ValueError("cannot normalize a state whose norm overflows")
     projected = vectors * _KEEP[particle][outcomes]
     parts = projected.view(np.float64)
     parts /= np.array(norms)[:, None]
@@ -457,16 +454,16 @@ class _BranchTree:
         self.root = _Node(_P_PLUS_SIGN, (0, None, ()), [None, None]) if drawn else self._build(0, None, ())
 
     def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream], first=None):
-        """Run one action; `first` is a measurement's already known `_first_outcome`."""
+        """Run one action; `first` is a value measurement's already known `_first_outcome`."""
         if action[0] == "prepare":
             return self.prepared[0 if len(self.prepared) == 1 or rng.random() < _P_PLUS_SIGN else 1], records
         if action[0] == "apply":
             return apply2(action[1], state), records
-        # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS and `first=`, not from its
-        # outcome directly, and measure_value keeps its separability_defect check: bench/tracing.py times all three
-        # by name, and bench/test_bench.py fails when a block run stops calling them.
+        # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS (and measure_value by
+        # `first=`), not from its outcome directly, and measure_value keeps its separability_defect check:
+        # bench/tracing.py times all three by name, and bench/test_bench.py fails when a block run stops calling them.
         if action[2] is None:
-            record, state = measure_relative(state, rng, step_index=action[1], first=first)
+            record, state = measure_relative(state, rng, step_index=action[1])
         else:
             record, state = measure_value(state, action[2], rng, step_index=action[1], first=first)
         return state, records + (record,)

@@ -573,15 +573,16 @@ class TestCheckCommand:
 
 class TestEntryPoint:
     def test_module_execution(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
         demo = subprocess.run(
             [sys.executable, "-m", "bellkit", "demo"],
-            capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert demo.returncode == 0
         assert len(demo.stdout.splitlines()) == 4
         usage = subprocess.run(
             [sys.executable, "-m", "bellkit"],
-            capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert usage.returncode == 1
 

@@ -77,6 +77,8 @@ class TestStates:
             core.normalize(s)
         with pytest.raises(ValueError, match="cannot normalize a state whose norm overflows"):
             engine.measure_value(s, "A", None)
+        with pytest.raises(ValueError, match="cannot normalize a state whose norm overflows"):
+            engine._collapse(s.vector[None, :], "A", [0])  # the level pass's collapse
 
     def test_inner_conjugate_linear_in_first_argument(self):
         s = core.TwoQubitState(1j, 0, 0, 0)

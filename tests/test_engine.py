@@ -457,7 +457,7 @@ class TestBranchTree:
     def test_counts_keep_first_occurrence_order(self, program_seed, shots, seed):
         # Dict equality ignores order; the counts table of a text report does not.
         prog = random_program(np.random.default_rng(program_seed))
-        assert list(run(prog, shots, seed).counts) == list(_replay(prog, shots, seed).counts)
+        assert list(run(prog, shots, seed).counts.items()) == list(_replay(prog, shots, seed).counts.items())
 
     def test_run_past_the_node_budget_across_blocks_equals_replay(self, monkeypatch):
         # The program of test_run_past_the_node_budget_equals_replay, in blocks of 150 shots.
