@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import checks, engine
+from . import engine
 from .bell import StateClassification, classify, separability_defect, BellDescriptor, bell_state
 from .circuit import (
     BASIS_LABELS,
@@ -159,25 +159,17 @@ def _write_trace(head: str, results: tuple[ShotResult, ...], render, separator: 
     chunk and the tail with the last.
 
     `render(shot)` gives the text before and after a shot's index.  Shots that reach one
-    branch-tree leaf share its ShotResult, so a leaf that recurs is rendered once and
-    each of its shots costs one splice.  A rendering outlives its chunk only once its
-    leaf has recurred: a program past NODE_BUDGET has a leaf of its own for most shots,
-    and keeping each one's rendering would hold a second copy of the report.  `results`
-    keeps every object alive, so an id stays unique for the whole report.
+    branch-tree leaf share its ShotResult, which a chunk renders once and splices into
+    each of its shots; no rendering outlives its chunk.  `results` keeps every object
+    alive, so an id stays unique for the whole report.
     """
-    recurring: dict[int, tuple[str, str]] = {}
     for start in range(0, len(results), _TRACE_CHUNK_SHOTS):
         stop = start + _TRACE_CHUNK_SHOTS
-        pieces = []
-        seen_once: dict[int, tuple[str, str]] = {}
+        pieces, rendered = [], {}
         for index, shot in enumerate(results[start:stop], start):
-            parts = recurring.get(id(shot))
+            parts = rendered.get(id(shot))
             if parts is None:
-                parts = seen_once.pop(id(shot), None)
-                if parts is None:
-                    parts = seen_once[id(shot)] = render(shot)
-                else:
-                    recurring[id(shot)] = parts
+                parts = rendered[id(shot)] = render(shot)
             pieces += (separator, parts[0], str(index), parts[1])
         if start == 0:
             pieces[0] = head
@@ -343,6 +335,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import checks  # only `check` uses it: at load time, every command would compile it
+
     results = checks.run_all()
     failed = False
     for result in results:

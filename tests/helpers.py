@@ -1,4 +1,4 @@
-"""Shared test utilities: scripted random streams and a program generator."""
+"""Shared test utilities: scripted random streams, a program generator and a one-shot reference interpreter."""
 
 from __future__ import annotations
 
@@ -7,9 +7,19 @@ import sys
 import numpy as np
 
 from bellkit import circuit
-from bellkit.bell import BellDescriptor
+from bellkit.bell import BellDescriptor, bell_state
 from bellkit.checks import random_two_qubit_state, random_unitary
-from bellkit.core import INV_SQRT2, SingleQubitOperator
+from bellkit.core import (
+    INV_SQRT2,
+    SingleQubitOperator,
+    apply2,
+    basis_state,
+    bell_operator,
+    lift_a,
+    lift_b,
+    named_operator,
+)
+from bellkit.engine import ShotResult, measure_relative, measure_value
 
 
 class ScriptedStream:
@@ -90,3 +100,32 @@ def random_program(rng: np.random.Generator) -> circuit.CircuitProgram:
 
 def _unitary(rng: np.random.Generator) -> SingleQubitOperator:
     return random_unitary(rng)
+
+
+def interpret(program: circuit.CircuitProgram, rng) -> ShotResult:
+    """One shot of `program`, straight through in program order with no branch tree: the
+    preparation (a random sign draws first, + below 0.5), then each step's apply2,
+    measure_relative or measure_value."""
+    prep = program.preparation
+    if isinstance(prep, circuit.BasisPreparation):
+        state = basis_state(prep.index)
+    elif isinstance(prep, circuit.BellPreparation):
+        state = bell_state(prep.descriptor)
+    elif isinstance(prep, circuit.BellRandomSignPreparation):
+        state = bell_state(BellDescriptor(prep.bell_class, 1 if rng.random() < 0.5 else -1, prep.s0))
+    else:
+        state = prep.state
+    records = []
+    for index, step in enumerate(program.steps):
+        if isinstance(step, circuit.MeasureRelative):
+            record, state = measure_relative(state, rng, step_index=index)
+            records.append(record)
+        elif isinstance(step, circuit.MeasureValue):
+            record, state = measure_value(state, step.particle, rng, step_index=index)
+            records.append(record)
+        elif isinstance(step, circuit.ApplyBellOperator):
+            state = apply2(bell_operator(), state)
+        else:
+            op = named_operator(step.name) if isinstance(step, circuit.ApplyNamed) else step.operator
+            state = apply2((lift_a if step.particle == "A" else lift_b)(op), state)
+    return ShotResult(records=tuple(records), final_state=state)

@@ -586,6 +586,14 @@ class TestEntryPoint:
         )
         assert usage.returncode == 1
 
+    def test_only_check_imports_the_self_checks(self):
+        # run, sweep and demo never use bellkit.checks: importing it would compile it on every start.
+        code = "import sys, bellkit.cli; print('bellkit.checks' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_optimized_interpreter_prints_the_same_bytes(self):
         # -O strips asserts: the invariant checks on the run and trace paths must not rely on them.
         sample = Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ScriptedStream, count_calls, random_program
+from helpers import ScriptedStream, count_calls, interpret, random_program
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -418,6 +418,19 @@ class TestBranchTree:
         assert run(prog, shots, seed, keep_results=True) == replay
         assert run(engine.compile(prog), shots, seed, keep_results=True) == replay
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        program_seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 2**64 - 4),
+        seed=st.integers(0, engine.MAX_SEED),
+    )
+    def test_run_shot_equals_a_straight_line_interpreter(self, program_seed, index, seed):
+        # The replay above walks the same tree code as run; this reference shares none of it.
+        # repr, unlike ==, tells a zero amplitude's sign.
+        prog = random_program(np.random.default_rng(program_seed))
+        for shot in range(index, index + 4):
+            assert repr(run_shot(prog, derive_rng(seed, shot))) == repr(interpret(prog, derive_rng(seed, shot)))
+
     def test_run_past_the_node_budget_equals_replay(self):
         # About 20 draws per shot: a few hundred shots need more nodes than a run stores.
         source = "prepare bell-random-sign phi\n" + "apply bellop\nmeasure value A\napply bellop\nmeasure value B\n" * 10
@@ -545,8 +558,10 @@ class TestBranchTree:
             walked = engine._BranchTree(prog, 0).walk(ScriptedStream(block[:, column].tolist()))
             assert walked[1] == next(key for key, columns in got if column in columns)
 
-    def test_a_drawn_value_measurement_costs_two_apply2_calls(self, monkeypatch):
-        # One apply2 decides the node's probability, one projects the drawn branch.
+    @pytest.mark.parametrize("draw, outcome", [(0.3, 0), (0.7, 1)])
+    def test_a_drawn_value_measurement_costs_two_apply2_calls(self, monkeypatch, draw, outcome):
+        # One apply2 decides the node's probability, one projects the drawn branch: on branch 1
+        # only because `_child` hands measure_value the node's p instead of recomputing it.
         calls = []
 
         def counting_apply2(op, state):
@@ -555,8 +570,8 @@ class TestBranchTree:
 
         monkeypatch.setattr(engine, "apply2", counting_apply2)
         prog = program(BellPreparation(descriptor=BellDescriptor("phi", 1)), MeasureValue(particle="A"))
-        shot = run_shot(prog, ScriptedStream([0.3]))
-        assert shot.records[0].outcome == 0 and len(calls) == 2
+        shot = run_shot(prog, ScriptedStream([draw]))
+        assert shot.records[0].outcome == outcome and len(calls) == 2
 
     def test_a_deterministic_value_measurement_costs_one_apply2_call(self, monkeypatch):
         # The projection that decides the outcome is certain is the post-measurement state.
