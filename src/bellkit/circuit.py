@@ -6,17 +6,22 @@ a comment, UTF-8 text, \\n or \\r\\n line endings):
     prepare basis <00|01|10|11>
     prepare bell <phi|psi> <+|-> [s0=<real>]
     prepare bell-random-sign <phi|psi> [s0=<real>]
-    prepare raw <re im re im re im re im>
-    apply <identity|flip|t_plus|t_minus> <A|B>
+    prepare raw <8 reals: re im per amplitude>
+    apply identity <A|B>
+    apply flip <A|B>
+    apply t_plus <A|B>
+    apply t_minus <A|B>
     apply bellop
-    apply raw <A|B> <re im re im re im re im>
+    apply raw <A|B> <8 reals: re im, row-major>
     measure relative
     measure value <A|B>
     shots <integer>
     seed <integer>
 
+These are the usage strings of `_FORMS`, the one table `parse` reads by.
 A program has exactly one preparation; shots/seed may appear at most once.
-Parsing is all-or-nothing: any error yields diagnostics and no program.
+Parsing is all-or-nothing: any error yields diagnostics and no program;
+every argument is checked and every error on a line is reported.
 Diagnostics carry 1-based (line, column) positions into the source text.
 """
 
@@ -25,7 +30,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from .bell import BellClass, BellDescriptor
 from .core import (
@@ -186,252 +192,174 @@ def _tokenize(line: str) -> list[_Token]:
     return [_Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-class _LineReader:
-    """One statement line plus its diagnostics sink."""
-
-    def __init__(self, tokens: list[_Token], line_no: int, diags: list[Diagnostic]) -> None:
-        self.tokens = tokens
-        self.line_no = line_no
-        self.diags = diags
-
-    def error(self, column: int, message: str) -> None:
-        self.diags.append(Diagnostic(self.line_no, column, "error", message))
-
-    def check_arity(self, count: int, usage: str) -> bool:
-        if len(self.tokens) == count:
-            return True
-        if len(self.tokens) < count:
-            self.error(self.tokens[-1].column, f"expected: {usage}")
-        else:
-            self.error(self.tokens[count].column, f"unexpected extra argument; expected: {usage}")
-        return False
-
-    def real(self, token: _Token, what: str) -> Optional[float]:
-        value = float(token.text) if _REAL_RE.fullmatch(token.text) else math.nan
-        if not math.isfinite(value):
-            self.error(token.column, f"malformed number for {what}: {token.text!r}")
-            return None
-        return value
-
-    def integer(self, token: _Token, what: str) -> Optional[int]:
-        value = ascii_integer(token.text)
-        if value is None:
-            self.error(token.column, f"malformed number for {what}: {token.text!r}")
-        return value
-
-    def particle(self, token: _Token) -> Optional[Particle]:
-        if token.text in ("A", "B"):
-            return token.text  # type: ignore[return-value]
-        self.error(token.column, f"expected particle A or B, got {token.text!r}")
-        return None
-
-    def reals(self, tokens: list[_Token], what: str) -> Optional[list[float]]:
-        values = [self.real(t, what) for t in tokens]
-        if any(v is None for v in values):
-            return None
-        return values  # type: ignore[return-value]
-
-    def s0_option(self, token: Optional[_Token]) -> Optional[float]:
-        """Parse an optional trailing `s0=<real>`; None token means default."""
-        if token is None:
-            return DEFAULT_S0
-        if not token.text.startswith("s0="):
-            self.error(token.column, f"expected s0=<real>, got {token.text!r}")
-            return None
-        value = self.real(_Token(token.text[3:], token.column), "s0")
-        if value is None:
-            return None
-        if not 0.0 <= value <= 1.0:
-            self.error(token.column, f"s0 out of [0, 1]: {format_real(value)}")
-            return None
-        return value
+_Reader = Callable[[str], object]  # one argument token's text -> its value; raises ValueError(diagnostic)
 
 
-def _complex_pairs(values: list[float]) -> list[complex]:
-    return [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
+def _one_of(expected: str, values: dict) -> _Reader:
+    def read(text: str) -> object:
+        if text in values:
+            return values[text]
+        raise ValueError(f"expected {expected}, got {text!r}")
+
+    return read
 
 
-def _parse_prepare(reader: _LineReader) -> Optional[Preparation]:
-    tokens = reader.tokens
-    pos = (reader.line_no, tokens[0].column)
-    if len(tokens) < 2:
-        reader.error(tokens[0].column, "expected: prepare <basis|bell|bell-random-sign|raw> ...")
-        return None
-    kind = tokens[1]
-    if kind.text == "basis":
-        if not reader.check_arity(3, "prepare basis <00|01|10|11>"):
-            return None
-        label = tokens[2]
-        if label.text not in BASIS_LABELS:
-            reader.error(label.column, f"expected basis label 00|01|10|11, got {label.text!r}")
-            return None
-        return BasisPreparation(index=int(label.text, 2), source_pos=pos)
-    if kind.text == "bell":
-        if len(tokens) not in (4, 5):
-            reader.check_arity(4 if len(tokens) < 4 else 5, "prepare bell <phi|psi> <+|-> [s0=<real>]")
-            return None
-        bell_class = _parse_bell_class(reader, tokens[2])
-        sign_token = tokens[3]
-        if sign_token.text not in ("+", "-"):
-            reader.error(sign_token.column, f"expected sign + or -, got {sign_token.text!r}")
-            return None
-        s0 = reader.s0_option(tokens[4] if len(tokens) == 5 else None)
-        if bell_class is None or s0 is None:
-            return None
-        sign = 1 if sign_token.text == "+" else -1
-        return BellPreparation(
-            descriptor=BellDescriptor(bell_class=bell_class, sign=sign, s0=s0),
-            source_pos=pos,
-        )
-    if kind.text == "bell-random-sign":
-        if len(tokens) not in (3, 4):
-            reader.check_arity(3 if len(tokens) < 3 else 4, "prepare bell-random-sign <phi|psi> [s0=<real>]")
-            return None
-        bell_class = _parse_bell_class(reader, tokens[2])
-        s0 = reader.s0_option(tokens[3] if len(tokens) == 4 else None)
-        if bell_class is None or s0 is None:
-            return None
-        return BellRandomSignPreparation(bell_class=bell_class, s0=s0, source_pos=pos)
-    if kind.text == "raw":
-        if not reader.check_arity(10, "prepare raw <8 reals: re im per amplitude>"):
-            return None
-        values = reader.reals(tokens[2:], "amplitude")
-        if values is None:
-            return None
-        return RawPreparation(state=TwoQubitState(*_complex_pairs(values)), source_pos=pos)
-    reader.error(kind.column, f"unknown preparation kind {kind.text!r}")
-    return None
+_particle = _one_of("particle A or B", {"A": "A", "B": "B"})
+_bell_class = _one_of("Bell class phi or psi", {"phi": "phi", "psi": "psi"})
+_sign = _one_of("sign + or -", {"+": 1, "-": -1})
+_basis = _one_of("basis label 00|01|10|11", {label: index for index, label in enumerate(BASIS_LABELS)})
 
 
-def _parse_bell_class(reader: _LineReader, token: _Token) -> Optional[BellClass]:
-    if token.text in ("phi", "psi"):
-        return token.text  # type: ignore[return-value]
-    reader.error(token.column, f"expected Bell class phi or psi, got {token.text!r}")
-    return None
+def _real(what: str, text: str) -> float:
+    value = float(text) if _REAL_RE.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"malformed number for {what}: {text!r}")
+    return value
 
 
-def _parse_apply(reader: _LineReader) -> Optional[Step]:
-    tokens = reader.tokens
-    pos = (reader.line_no, tokens[0].column)
-    if len(tokens) < 2:
-        reader.error(tokens[0].column, "expected: apply <operator> ...")
-        return None
-    name = tokens[1]
-    if name.text in OPERATOR_NAMES:
-        if not reader.check_arity(3, f"apply {name.text} <A|B>"):
-            return None
-        particle = reader.particle(tokens[2])
-        if particle is None:
-            return None
-        return ApplyNamed(name=name.text, particle=particle, source_pos=pos)
-    if name.text == "bellop":
-        if not reader.check_arity(2, "apply bellop"):
-            return None
-        return ApplyBellOperator(source_pos=pos)
-    if name.text == "raw":
-        if not reader.check_arity(11, "apply raw <A|B> <8 reals: re im, row-major>"):
-            return None
-        particle = reader.particle(tokens[2])
-        values = reader.reals(tokens[3:], "matrix entry")
-        if particle is None or values is None:
-            return None
-        entries = _complex_pairs(values)
-        operator = SingleQubitOperator([[entries[0], entries[1]], [entries[2], entries[3]]])
-        return ApplyRaw(particle=particle, operator=operator, source_pos=pos)
-    known = "|".join(OPERATOR_NAMES + ("bellop", "raw"))
-    reader.error(name.column, f"unknown operator {name.text!r} (expected {known})")
-    return None
+def _integer(what: str, text: str) -> int:
+    value = ascii_integer(text)
+    if value is None:
+        raise ValueError(f"malformed number for {what}: {text!r}")
+    return value
 
 
-def _parse_measure(reader: _LineReader) -> Optional[Step]:
-    tokens = reader.tokens
-    pos = (reader.line_no, tokens[0].column)
-    if len(tokens) < 2:
-        reader.error(tokens[0].column, "expected: measure <relative|value> ...")
-        return None
-    kind = tokens[1]
-    if kind.text == "relative":
-        if not reader.check_arity(2, "measure relative"):
-            return None
-        return MeasureRelative(source_pos=pos)
-    if kind.text == "value":
-        if not reader.check_arity(3, "measure value <A|B>"):
-            return None
-        particle = reader.particle(tokens[2])
-        if particle is None:
-            return None
-        return MeasureValue(particle=particle, source_pos=pos)
-    reader.error(kind.column, f"unknown measurement kind {kind.text!r}")
-    return None
+def _seed(text: str) -> int:
+    value = _integer("seed", text)
+    if not 0 <= value <= MAX_SEED:
+        raise ValueError("malformed number for seed: out of unsigned 64-bit range")
+    return value
+
+
+def _s0(text: str) -> float:
+    """A trailing `s0=<real>`, which a statement may leave out for DEFAULT_S0."""
+    if not text.startswith("s0="):
+        raise ValueError(f"expected s0=<real>, got {text!r}")
+    value = _real("s0", text[3:])
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"s0 out of [0, 1]: {format_real(value)}")
+    return value
+
+
+def _complex_pairs(values: tuple[float, ...]) -> list[complex]:
+    return [complex(re, im) for re, im in zip(values[::2], values[1::2])]
+
+
+# (keyword, kind) -> (usage, one reader per argument token, constructor); `shots` and `seed`
+# take no kind. The constructor gets the read values and the statement's source_pos.
+_FORMS: dict[tuple[str, Optional[str]], tuple[str, tuple[_Reader, ...], Callable[..., object]]] = {
+    ("prepare", "basis"): ("prepare basis <00|01|10|11>", (_basis,), BasisPreparation),
+    ("prepare", "bell"): (
+        "prepare bell <phi|psi> <+|-> [s0=<real>]",
+        (_bell_class, _sign, _s0),
+        lambda bell_class, sign, s0=DEFAULT_S0, *, source_pos: BellPreparation(
+            BellDescriptor(bell_class, sign, s0), source_pos
+        ),
+    ),
+    ("prepare", "bell-random-sign"): (
+        "prepare bell-random-sign <phi|psi> [s0=<real>]", (_bell_class, _s0), BellRandomSignPreparation
+    ),
+    ("prepare", "raw"): (
+        "prepare raw <8 reals: re im per amplitude>",
+        (partial(_real, "amplitude"),) * 8,
+        lambda *values, source_pos: RawPreparation(TwoQubitState(*_complex_pairs(values)), source_pos),
+    ),
+    **{("apply", name): (f"apply {name} <A|B>", (_particle,), partial(ApplyNamed, name)) for name in OPERATOR_NAMES},
+    ("apply", "bellop"): ("apply bellop", (), ApplyBellOperator),
+    ("apply", "raw"): (
+        "apply raw <A|B> <8 reals: re im, row-major>",
+        (_particle,) + (partial(_real, "matrix entry"),) * 8,
+        lambda particle, *values, source_pos: ApplyRaw(
+            particle, SingleQubitOperator([_complex_pairs(values[:4]), _complex_pairs(values[4:])]), source_pos
+        ),
+    ),
+    ("measure", "relative"): ("measure relative", (), MeasureRelative),
+    ("measure", "value"): ("measure value <A|B>", (_particle,), MeasureValue),
+    ("shots", None): ("shots <integer>", (partial(_integer, "shots"),), lambda shots, source_pos: shots),
+    ("seed", None): ("seed <integer>", (_seed,), lambda seed, source_pos: seed),
+}
+# Keyword that takes a kind -> (usage without one, message for an unknown one).
+_KINDS = {
+    "prepare": ("prepare <basis|bell|bell-random-sign|raw> ...", "unknown preparation kind {!r}"),
+    "apply": (
+        "apply <operator> ...",
+        "unknown operator {!r} (expected " + "|".join(kind for head, kind in _FORMS if head == "apply") + ")",
+    ),
+    "measure": ("measure <relative|value> ...", "unknown measurement kind {!r}"),
+}
+_ONCE = ("prepare", "shots", "seed")  # statements a program has at most once
+
+
+def _statement(tokens: list[_Token], line_no: int, diags: list[Diagnostic]) -> object:
+    """The statement on one line, or None once its errors are in `diags`."""
+
+    def error(token: _Token, message: str) -> None:
+        diags.append(Diagnostic(line_no, token.column, "error", message))
+
+    head = tokens[0]
+    if (head.text, None) in _FORMS:
+        form, args = _FORMS[head.text, None], tokens[1:]
+    elif head.text not in _KINDS:
+        return error(head, f"unknown keyword {head.text!r}")
+    elif len(tokens) < 2:
+        return error(head, f"expected: {_KINDS[head.text][0]}")
+    elif (head.text, tokens[1].text) not in _FORMS:
+        return error(tokens[1], _KINDS[head.text][1].format(tokens[1].text))
+    else:
+        form, args = _FORMS[head.text, tokens[1].text], tokens[2:]
+    usage, readers, build = form
+    if len(args) > len(readers):
+        return error(args[len(readers)], f"unexpected extra argument; expected: {usage}")
+    if len(args) < len(readers) - (_s0 in readers):
+        return error(tokens[-1], f"expected: {usage}")
+    values, failed = [], False
+    for read, token in zip(readers, args):
+        try:
+            values.append(read(token.text))
+        except ValueError as exc:
+            error(token, str(exc))
+            failed = True
+    return None if failed else build(*values, source_pos=(line_no, head.column))
 
 
 def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
     """Parse source text; returns (program, []) or (None, error diagnostics)."""
     diags: list[Diagnostic] = []
-    preparation: Optional[Preparation] = None
     prepare_seen = False  # a malformed prepare line has its own diagnostic
     steps: list[Step] = []
-    shots: Optional[int] = None
-    seed: Optional[int] = None
-    shots_pos = seed_pos = (1, 1)
+    once: dict[str, tuple[object, tuple[int, int]]] = {}  # _ONCE keyword -> (statement, its last token's position)
 
     for line_no, raw_line in enumerate(source.split("\n"), start=1):
         line = raw_line[:-1] if raw_line.endswith("\r") else raw_line
         tokens = _tokenize(line)
         if not tokens:
             continue
-        reader = _LineReader(tokens, line_no, diags)
         head = tokens[0]
-        if head.text == "prepare":
-            prepare_seen = True
-            prep = _parse_prepare(reader)
-            if prep is not None:
-                if preparation is not None:
-                    reader.error(head.column, "duplicate prepare statement")
-                else:
-                    preparation = prep
-        elif head.text == "apply":
-            step = _parse_apply(reader)
-            if step is not None:
-                steps.append(step)
-        elif head.text == "measure":
-            step = _parse_measure(reader)
-            if step is not None:
-                steps.append(step)
-        elif head.text == "shots":
-            if reader.check_arity(2, "shots <integer>"):
-                value = reader.integer(tokens[1], "shots")
-                if value is not None:
-                    if shots is not None:
-                        reader.error(head.column, "duplicate shots statement")
-                    else:
-                        shots, shots_pos = value, (line_no, tokens[1].column)
-        elif head.text == "seed":
-            if reader.check_arity(2, "seed <integer>"):
-                value = reader.integer(tokens[1], "seed")
-                if value is not None and not 0 <= value <= MAX_SEED:
-                    reader.error(tokens[1].column, "malformed number for seed: out of unsigned 64-bit range")
-                    value = None
-                if value is not None:
-                    if seed is not None:
-                        reader.error(head.column, "duplicate seed statement")
-                    else:
-                        seed, seed_pos = value, (line_no, tokens[1].column)
+        prepare_seen = prepare_seen or head.text == "prepare"
+        statement = _statement(tokens, line_no, diags)
+        if statement is None:
+            continue
+        if head.text not in _ONCE:
+            steps.append(statement)  # type: ignore[arg-type]
+        elif head.text in once:
+            diags.append(Diagnostic(line_no, head.column, "error", f"duplicate {head.text} statement"))
         else:
-            reader.error(head.column, f"unknown keyword {head.text!r}")
+            once[head.text] = (statement, (line_no, tokens[-1].column))
 
     if not prepare_seen:
         diags.append(Diagnostic(1, 1, "error", "missing prepare statement"))
     if diags:
         return None, diags
-    if preparation is None:  # a prepare line without a preparation has reported an error
+    if "prepare" not in once:  # a prepare line without a preparation has reported an error
         raise RuntimeError("parse found no preparation and reported no error")
+    shots, shots_pos = once.get("shots", (DEFAULT_SHOTS, (1, 1)))
+    seed, seed_pos = once.get("seed", (DEFAULT_SEED, (1, 1)))
     return (
         CircuitProgram(
-            preparation=preparation,
+            preparation=once["prepare"][0],  # type: ignore[arg-type]
             steps=tuple(steps),
-            shots=DEFAULT_SHOTS if shots is None else shots,
-            seed=DEFAULT_SEED if seed is None else seed,
+            shots=shots,  # type: ignore[arg-type]
+            seed=seed,  # type: ignore[arg-type]
             shots_pos=shots_pos,
             seed_pos=seed_pos,
         ),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import random_program
 
+from bellkit import circuit
 from bellkit.bell import BellDescriptor
 from bellkit.circuit import (
     ApplyBellOperator,
@@ -113,7 +114,58 @@ class TestParse:
         assert program.seed == 2**64 - 1
 
 
+# Every statement form's arity, one line after a valid preparation: one token too few is
+# reported at the line's last token, one too many at the first extra token; a trailing s0=
+# may be left out. Then a bare keyword and an unknown kind for each keyword that takes one.
+_ARITY = [
+    ("prepare basis", 9, "expected: prepare basis <00|01|10|11>"),
+    ("prepare basis 00 11", 18, "unexpected extra argument; expected: prepare basis <00|01|10|11>"),
+    ("prepare bell phi", 14, "expected: prepare bell <phi|psi> <+|-> [s0=<real>]"),
+    ("prepare bell s0=0.5", 14, "expected: prepare bell <phi|psi> <+|-> [s0=<real>]"),
+    ("prepare bell phi + x y", 22, "unexpected extra argument; expected: prepare bell <phi|psi> <+|-> [s0=<real>]"),
+    ("prepare bell phi + s0=0.5 x", 27,
+     "unexpected extra argument; expected: prepare bell <phi|psi> <+|-> [s0=<real>]"),
+    ("prepare bell-random-sign", 9, "expected: prepare bell-random-sign <phi|psi> [s0=<real>]"),
+    ("prepare bell-random-sign psi x y", 32,
+     "unexpected extra argument; expected: prepare bell-random-sign <phi|psi> [s0=<real>]"),
+    ("prepare bell-random-sign psi s0=0.5 x", 37,
+     "unexpected extra argument; expected: prepare bell-random-sign <phi|psi> [s0=<real>]"),
+    ("prepare raw 1 0 0 0 0 0 0", 25, "expected: prepare raw <8 reals: re im per amplitude>"),
+    ("prepare raw 1 0 0 0 0 0 0 0 9", 29,
+     "unexpected extra argument; expected: prepare raw <8 reals: re im per amplitude>"),
+    ("apply identity", 7, "expected: apply identity <A|B>"),
+    ("apply identity A B", 18, "unexpected extra argument; expected: apply identity <A|B>"),
+    ("apply flip", 7, "expected: apply flip <A|B>"),
+    ("apply flip A B", 14, "unexpected extra argument; expected: apply flip <A|B>"),
+    ("apply t_plus", 7, "expected: apply t_plus <A|B>"),
+    ("apply t_plus A B", 16, "unexpected extra argument; expected: apply t_plus <A|B>"),
+    ("apply t_minus", 7, "expected: apply t_minus <A|B>"),
+    ("apply t_minus A B", 17, "unexpected extra argument; expected: apply t_minus <A|B>"),
+    ("apply bellop A", 14, "unexpected extra argument; expected: apply bellop"),
+    ("apply raw A 1 0 0 0 0 0 0", 25, "expected: apply raw <A|B> <8 reals: re im, row-major>"),
+    ("apply raw A 1 0 0 0 0 0 0 0 9", 29,
+     "unexpected extra argument; expected: apply raw <A|B> <8 reals: re im, row-major>"),
+    ("measure relative A", 18, "unexpected extra argument; expected: measure relative"),
+    ("measure value", 9, "expected: measure value <A|B>"),
+    ("measure value A B", 17, "unexpected extra argument; expected: measure value <A|B>"),
+    ("shots", 1, "expected: shots <integer>"),
+    ("shots 1 2", 9, "unexpected extra argument; expected: shots <integer>"),
+    ("seed", 1, "expected: seed <integer>"),
+    ("seed 1 2", 8, "unexpected extra argument; expected: seed <integer>"),
+    ("prepare", 1, "expected: prepare <basis|bell|bell-random-sign|raw> ..."),
+    ("apply", 1, "expected: apply <operator> ..."),
+    ("measure", 1, "expected: measure <relative|value> ..."),
+    ("prepare cat A", 9, "unknown preparation kind 'cat'"),
+    ("apply cat A", 7, "unknown operator 'cat' (expected identity|flip|t_plus|t_minus|bellop|raw)"),
+    ("measure cat A", 9, "unknown measurement kind 'cat'"),
+]
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("line, column, message", _ARITY, ids=[line for line, _, _ in _ARITY])
+    def test_statement_arity(self, line, column, message):
+        assert parse_errors(f"prepare basis 00\n{line}\n") == [(2, column, "error", message)]
+
     def test_unknown_keyword(self):
         assert parse_errors("prpare basis 00\n") == [
             (1, 1, "error", "unknown keyword 'prpare'"),
@@ -241,6 +293,12 @@ class TestParseErrors:
         assert program.preparation.state == TwoQubitState(1, 0, 0, -150j)
         assert (program.shots, program.seed) == (12, 0)
         assert parse_ok("prepare basis 00\nshots -5\n").shots == -5  # validate rejects it, with its own diagnostic
+
+    def test_bell_reports_a_bad_sign_and_a_bad_s0_together(self):
+        assert parse_errors("prepare bell phi x s0=2\n") == [
+            (1, 18, "error", "expected sign + or -, got 'x'"),
+            (1, 20, "error", "s0 out of [0, 1]: 2"),
+        ]
 
     def test_duplicate_statements(self):
         got = parse_errors(
@@ -417,6 +475,16 @@ class TestFormat:
         canonical = format_program(program)
         assert canonical == "prepare bell psi + s0=0.29999999999999999\nmeasure relative\nshots 12\n"
         assert format_program(parse_ok(canonical)) == canonical
+
+
+class TestGrammarText:
+    def test_docstring_and_readme_list_every_statement_form(self):
+        usages = [usage for usage, _, _ in circuit._FORMS.values()]
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Circuit language", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+        assert block.splitlines() == usages
+        docstring = circuit.__doc__.split("\n\n")[2]
+        assert [line.strip() for line in docstring.splitlines()] == usages
 
 
 class TestSamplePrograms:

@@ -204,6 +204,22 @@ class TestTensorAndLifts:
             assert core.lift_a(u).is_unitary()
             assert core.lift_b(u).is_unitary()
 
+    def test_compose_applies_g_then_f(self):
+        # flip and t_minus anticommute, so a product taken in the wrong order flips a sign.
+        rng = np.random.default_rng(11)
+        flip, t_minus = core.named_operator("flip"), core.named_operator("t_minus")
+        for f, g in ((flip, t_minus), (t_minus, flip)):
+            for _ in range(20):
+                s = random_single_qubit_state(rng)
+                once = core.apply1(core.compose(f, g), s).vector
+                assert np.max(np.abs(once - core.apply1(f, core.apply1(g, s)).vector)) <= 1e-12
+                for lift in (core.lift_a, core.lift_b):
+                    state = core.tensor(s, random_single_qubit_state(rng))
+                    lifted_f, lifted_g = lift(f), lift(g)
+                    once = core.apply2(core.compose(lifted_f, lifted_g), state).vector
+                    twice = core.apply2(lifted_f, core.apply2(lifted_g, state)).vector
+                    assert np.max(np.abs(once - twice)) <= 1e-12
+
     def test_compose_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             core.compose(core.named_operator("flip"), core.bell_operator())
