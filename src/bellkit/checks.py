@@ -2,6 +2,8 @@
 
 Every group runs with fixed seeds so the outcome is reproducible; `run_all`
 returns one result per group and the CLI `check` subcommand renders them.
+A group whose draw pattern is fixed draws all its samples in one call and
+checks them as stacked arrays, bit for bit as one sample at a time.
 The nearest-product-state search is an independent oracle: it never calls
 the determinant-based separability test it is used to cross-check.
 """
@@ -37,33 +39,85 @@ class CheckResult:
     detail: str = ""
 
 
-def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return v / np.linalg.norm(v)
+# Batched draws.  Each helper turns a block of standard normal draws, whose
+# leading axes index the samples, into one value per sample.  A sample takes
+# its draws in the order of the one-sample helpers: the real parts, then the
+# imaginary parts, and a product state's A factor before its B factor.  One
+# rng.normal call for n samples returns the bytes of n one-sample calls, so
+# the random_* helpers below are this code on a single sample.
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each (..., n) row, bit for bit.
+
+    The 1-D norm sums re.re + im.im as two dot products; a stacked matmul
+    makes the same calls, and a sum over an axis (norm(axis=-1)) does not.
+    """
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2))[..., 0, 0] + (im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _unit_vectors(x: np.ndarray) -> np.ndarray:
+    """(..., n) random unit vectors from (..., 2, n) draws."""
+    v = x[..., 0, :] + 1j * x[..., 1, :]
+    return v / _row_norms(v)[..., None]
+
+
+def _operators(x: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) complex Gaussian matrices from (..., 2, 2, 2) draws."""
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _unitaries(x: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) Haar-random unitaries from (..., 2, 2, 2) draws."""
+    q, r = np.linalg.qr(_operators(x))
+    # Fix the QR phase ambiguity so the distribution is Haar-uniform.
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = np.zeros_like(r)
+    phases[..., (0, 1), (0, 1)] = diagonal / np.abs(diagonal)
+    return q @ phases
+
+
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """core.tensor of (..., 2) factor stacks, bit for bit: each part of a_i * b_j is
+    rounded as Python rounds a complex product, where numpy's complex multiply may fuse."""
+    ar, ai = a.real[..., :, None], a.imag[..., :, None]
+    br, bi = b.real[..., None, :], b.imag[..., None, :]
+    g = np.empty(np.broadcast_shapes(ar.shape, br.shape), dtype=complex)
+    g.real = ar * br - ai * bi
+    g.imag = ar * bi + ai * br
+    return g.reshape(*g.shape[:-2], 4)
+
+
+def _products(x: np.ndarray) -> np.ndarray:
+    """(..., 4) random product states from (..., 2, 2, 2) draws: A's, then B's."""
+    factors = _unit_vectors(x)
+    return _tensor(factors[..., 0, :], factors[..., 1, :])
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack applied to its vector: core.apply1 and apply2 on stacks."""
+    return (m @ v[..., None])[..., 0]
 
 
 def random_single_qubit_state(rng: np.random.Generator) -> core.SingleQubitState:
-    return core.SingleQubitState.from_vector(_unit_vector(rng, 2))
+    return core.SingleQubitState.from_vector(_unit_vectors(rng.normal(size=(2, 2))))
 
 
 def random_two_qubit_state(rng: np.random.Generator) -> core.TwoQubitState:
-    return core.TwoQubitState.from_vector(_unit_vector(rng, 4))
+    return core.TwoQubitState.from_vector(_unit_vectors(rng.normal(size=(2, 4))))
 
 
 def random_product_state(rng: np.random.Generator) -> core.TwoQubitState:
-    return core.tensor(random_single_qubit_state(rng), random_single_qubit_state(rng))
+    return core.TwoQubitState.from_vector(_products(rng.normal(size=(2, 2, 2))))
 
 
 def random_operator(rng: np.random.Generator) -> core.SingleQubitOperator:
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return core.SingleQubitOperator(m)
+    return core.SingleQubitOperator(_operators(rng.normal(size=(2, 2, 2))))
 
 
 def random_unitary(rng: np.random.Generator) -> core.SingleQubitOperator:
-    q, r = np.linalg.qr(random_operator(rng).matrix)
-    # Fix the QR phase ambiguity so the distribution is Haar-uniform.
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return core.SingleQubitOperator(q)
+    return core.SingleQubitOperator(_unitaries(rng.normal(size=(2, 2, 2))))
 
 
 _STANDARD = tuple(bell.BellDescriptor(cls, sign) for cls in ("phi", "psi") for sign in (1, -1))
@@ -86,6 +140,20 @@ def _rotation(theta: float) -> core.SingleQubitOperator:
 _GRID, _STARTS, _ITERATIONS = 12, 4, 60  # the nearest-product search: grid points per angle, starts, refinements
 
 
+def _b_grid() -> np.ndarray:
+    """The search's B factors, (_GRID^2, 2): beta in [0, pi/2] by phi in [0, 2 pi)."""
+    beta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi / 2, _GRID),
+        np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False),
+        indexing="ij",
+    )
+    return np.stack([np.cos(beta).ravel(), (np.sin(beta) * np.exp(1j * phi)).ravel()]).T
+
+
+_B_GRID = _b_grid()
+_SCORE_SLICE = 50  # states scored at once: bounds the (states, _GRID^2, 2) temporaries
+
+
 def nearest_product_distance(s: core.TwoQubitState) -> float:
     """Distance from a normalized state to the closest normalized product state.
 
@@ -95,37 +163,43 @@ def nearest_product_distance(s: core.TwoQubitState) -> float:
     updates of a and b refine each start; the overlap value is monotone
     under these updates, so the iteration converges.  The modulus already
     optimizes over the global phase, so the result is
-    min over products of || s - phase * (a x b) ||.
+    min over products of || s - phase * (a x b) ||.  A state that is not
+    normalized (`s.subnormalized`) is a ValueError.
     """
-    g = s.vector.reshape(2, 2)
-    beta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi / 2, _GRID),
-        np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False),
-        indexing="ij",
-    )
-    b_grid = np.stack(
-        [np.cos(beta).ravel(), (np.sin(beta) * np.exp(1j * phi)).ravel()]
-    ).T  # (_GRID^2, 2)
-    scores = np.linalg.norm(b_grid.conj() @ g.T, axis=1)
-    order = np.argsort(scores)[::-1][:_STARTS]
+    if s.subnormalized:
+        raise ValueError(f"nearest_product_distance needs a normalized state, got norm {s.norm()!r}")
+    return float(_nearest_product_distances(s.vector.reshape(1, 2, 2))[0])
 
-    best = 0.0
-    for index in order:
-        b = b_grid[index]
-        value = 0.0
-        for _ in range(_ITERATIONS):
-            w = g @ b.conj()
-            a = w / np.linalg.norm(w)
-            u = g.T @ a.conj()
-            new_value = float(np.linalg.norm(u))
-            b = u / new_value
-            if abs(new_value - value) <= 1e-15:
-                value = new_value
-                break
-            value = new_value
-        best = max(best, value)
-    best = min(best, 1.0)
-    return math.sqrt(max(0.0, 2.0 - 2.0 * best))
+
+def _nearest_product_distances(g: np.ndarray) -> np.ndarray:
+    """The search of nearest_product_distance on each coefficient matrix of an (n, 2, 2) stack.
+
+    Every state's _STARTS starts are lanes of one stack.  A lane stops once
+    its overlap moves by at most 1e-15, and each step updates the lanes
+    still running, with the arithmetic of a one-state search.
+    """
+    order = np.concatenate([
+        np.argsort(np.linalg.norm(_B_GRID.conj() @ part.swapaxes(-1, -2), axis=-1), axis=-1)[:, ::-1][:, :_STARTS]
+        for part in np.split(g, range(_SCORE_SLICE, len(g), _SCORE_SLICE))
+    ])
+    g = np.repeat(g, _STARTS, axis=0)
+    b = _B_GRID[order.ravel()]
+    value = np.zeros(len(g))
+    live = np.arange(len(g))
+    for _ in range(_ITERATIONS):
+        lanes = g[live]
+        w = _apply(lanes, b[live].conj())
+        a = w / _row_norms(w)[:, None]
+        u = _apply(lanes.swapaxes(-1, -2), a.conj())
+        new_value = _row_norms(u)
+        b[live] = u / new_value[:, None]
+        done = np.abs(new_value - value[live]) <= 1e-15
+        value[live] = new_value
+        live = live[~done]
+        if not live.size:
+            break
+    best = np.minimum(value.reshape(-1, _STARTS).max(axis=1), 1.0)
+    return np.sqrt(2.0 - 2.0 * best)
 
 
 def _max_entry(m: np.ndarray) -> float:
@@ -140,57 +214,35 @@ def _check(name: str, worst: float, tol: float) -> CheckResult:
 def check_lifting_algebra() -> CheckResult:
     """Lift homomorphism, A/B commutation, and tensor consistency."""
     rng = np.random.default_rng(101)
-    tol = 1e-10
-    worst = 0.0
-    for _ in range(400):
-        s_op = random_operator(rng)
-        t_op = random_operator(rng)
-        worst = max(
-            worst,
-            _max_entry(
-                core.lift_a(core.compose(s_op, t_op)).matrix
-                - core.compose(core.lift_a(s_op), core.lift_a(t_op)).matrix
-            ),
-            _max_entry(
-                core.lift_b(core.compose(s_op, t_op)).matrix
-                - core.compose(core.lift_b(s_op), core.lift_b(t_op)).matrix
-            ),
-            _max_entry(
-                core.compose(core.lift_a(s_op), core.lift_b(t_op)).matrix
-                - core.compose(core.lift_b(t_op), core.lift_a(s_op)).matrix
-            ),
-        )
-    for _ in range(1000):
-        s_op = random_operator(rng)
-        a = random_single_qubit_state(rng)
-        b = random_single_qubit_state(rng)
-        via_lift_a = core.apply2(core.lift_a(s_op), core.tensor(a, b))
-        via_tensor_a = core.tensor(core.apply1(s_op, a), b)
-        via_lift_b = core.apply2(core.lift_b(s_op), core.tensor(a, b))
-        via_tensor_b = core.tensor(a, core.apply1(s_op, b))
-        worst = max(
-            worst,
-            _max_entry(via_lift_a.vector - via_tensor_a.vector),
-            _max_entry(via_lift_b.vector - via_tensor_b.vector),
-        )
-    return _check("lifting-algebra", worst, tol)
+    lift = core._lift
+    ops = _operators(rng.normal(size=(400, 2, 2, 2, 2)))
+    s_op, t_op = ops[:, 0], ops[:, 1]
+    worst = max(
+        _max_entry(lift(s_op @ t_op, "A") - lift(s_op, "A") @ lift(t_op, "A")),
+        _max_entry(lift(s_op @ t_op, "B") - lift(s_op, "B") @ lift(t_op, "B")),
+        _max_entry(lift(s_op, "A") @ lift(t_op, "B") - lift(t_op, "B") @ lift(s_op, "A")),
+    )
+    draws = rng.normal(size=(1000, 16))  # per sample: an operator's 8 draws, then A's 4 and B's 4
+    s_op = _operators(draws[:, :8].reshape(1000, 2, 2, 2))
+    factors = _unit_vectors(draws[:, 8:].reshape(1000, 2, 2, 2))
+    a, b = factors[:, 0], factors[:, 1]
+    pair = _tensor(a, b)
+    worst = max(
+        worst,
+        _max_entry(_apply(lift(s_op, "A"), pair) - _tensor(_apply(s_op, a), b)),
+        _max_entry(_apply(lift(s_op, "B"), pair) - _tensor(a, _apply(s_op, b))),
+    )
+    return _check("lifting-algebra", worst, 1e-10)
 
 
 def check_unitarity_preservation() -> CheckResult:
     """Lifts of unitaries, and their compositions with the Bell operator, stay unitary."""
     rng = np.random.default_rng(102)
-    worst = 0.0
-    eye = np.eye(4)
-    for _ in range(200):
-        u = random_unitary(rng)
-        v = random_unitary(rng)
-        lifted = core.compose(
-            core.lift_a(u), core.compose(core.bell_operator(), core.lift_b(v))
-        )
-        m = lifted.matrix
-        worst = max(worst, _max_entry(m.conj().T @ m - eye))
-        if not (core.lift_a(u).is_unitary() and core.lift_b(v).is_unitary()):
-            return CheckResult("unitarity-preservation", False, "lifted unitary failed the unitarity predicate")
+    unitaries = _unitaries(rng.normal(size=(200, 2, 2, 2, 2)))
+    lifted_a, lifted_b = core._lift(unitaries[:, 0], "A"), core._lift(unitaries[:, 1], "B")
+    worst = _max_entry(core._unitarity_defect(lifted_a @ (core.bell_operator().matrix @ lifted_b)))
+    if not (core._unitarity_defect(np.stack([lifted_a, lifted_b])) <= core.EPS_OP).all():
+        return CheckResult("unitarity-preservation", False, "lifted unitary failed the unitarity predicate")
     return _check("unitarity-preservation", worst, core.EPS_OP)
 
 
@@ -275,20 +327,21 @@ def check_bell_family() -> CheckResult:
 def check_factorization() -> CheckResult:
     """Product states factor and re-tensor exactly; entangled states refuse."""
     rng = np.random.default_rng(105)
+    states = _products(rng.normal(size=(1000, 2, 2, 2)))
     worst = 0.0
-    for _ in range(1000):
-        state = random_product_state(rng)
-        defect = bell.separability_defect(state)
-        worst = max(worst, defect)
+    rebuilt, reconstructed = np.empty_like(states), np.empty_like(states)
+    for index, amplitudes in enumerate(states.tolist()):
+        state = core.TwoQubitState(*amplitudes)
+        worst = max(worst, bell.separability_defect(state))
         factors = bell.factorize(state)
         if factors is None:
             return CheckResult("factorization", False, "product state failed to factorize")
-        rebuilt = core.tensor(*factors)
-        worst = max(worst, _max_entry(rebuilt.vector - state.vector))
+        rebuilt[index] = core.tensor(*factors).amplitudes
         classified = bell.classify(state)
         if classified.kind not in ("product", "basis"):
             return CheckResult("factorization", False, f"product state classified as {classified.kind}")
-        worst = max(worst, _max_entry(classified.reconstruct().vector - state.vector))
+        reconstructed[index] = classified.reconstruct().amplitudes
+    worst = max(worst, _max_entry(rebuilt - states), _max_entry(reconstructed - states))
     for descriptor_sign in (1, -1):
         state = bell.bell_state(bell.BellDescriptor("phi", descriptor_sign))
         if bell.factorize(state) is not None:
@@ -299,17 +352,12 @@ def check_factorization() -> CheckResult:
 def check_nearest_product_oracle() -> CheckResult:
     """Brute-force nearest-product search agrees with the defect test on 200 states."""
     rng = np.random.default_rng(106)
-    states = [random_product_state(rng) for _ in range(100)]
-    states += [random_two_qubit_state(rng) for _ in range(100)]
-    for state in states:
-        defect_separable = bell.separability_defect(state) <= bell.EPS_SEP
-        oracle_separable = nearest_product_distance(state) <= 1e-4
-        if defect_separable != oracle_separable:
-            return CheckResult(
-                "nearest-product-oracle",
-                False,
-                f"disagreement at defect {bell.separability_defect(state):.3e}",
-            )
+    vectors = np.concatenate([_products(rng.normal(size=(100, 2, 2, 2))), _unit_vectors(rng.normal(size=(100, 2, 4)))])
+    distances = _nearest_product_distances(vectors.reshape(200, 2, 2))
+    for amplitudes, distance in zip(vectors.tolist(), distances.tolist()):
+        defect = bell.separability_defect(core.TwoQubitState(*amplitudes))
+        if (defect <= bell.EPS_SEP) != (distance <= 1e-4):
+            return CheckResult("nearest-product-oracle", False, f"disagreement at defect {defect:.3e}")
     return CheckResult("nearest-product-oracle", True, "200/200 states agree")
 
 

@@ -158,6 +158,13 @@ def basis_state(index: int) -> TwoQubitState:
     return TwoQubitState(*amps)
 
 
+def _unitarity_defect(m: np.ndarray) -> np.ndarray:
+    """max |m^H m - I| of each matrix in a (..., n, n) stack; huge entries give inf or nan: not unitary."""
+    eye = np.eye(m.shape[-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m.conj().swapaxes(-1, -2) @ m - eye).max(axis=(-2, -1))
+
+
 class _MatrixOperator:
     """Immutable wrapper around a read-only complex matrix."""
 
@@ -181,10 +188,7 @@ class _MatrixOperator:
         return complex(self._matrix[row, col])
 
     def is_unitary(self, tol: float = EPS_OP) -> bool:
-        m = self._matrix
-        eye = np.eye(self._shape[0], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan: not unitary
-            return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+        return bool(_unitarity_defect(self._matrix) <= tol)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -284,22 +288,30 @@ def apply2(op: TwoQubitOperator, s: TwoQubitState) -> TwoQubitState:
     return TwoQubitState(*(op.matrix @ s.vector).tolist())
 
 
-def lift_a(op: SingleQubitOperator) -> TwoQubitOperator:
-    """Act with `op` on particle A and leave B untouched.
+def _lift(m: np.ndarray, particle: Particle) -> np.ndarray:
+    """A (..., 2, 2) stack of one-particle matrices lifted to the (..., 4, 4) stack acting on `particle`.
 
-    The lifted matrix carries op(i, j) at the entries (2i+k, 2j+k), k in {0,1}:
-    the broadcast product op[i, j] * I[k, l] at (2i+k, 2j+l), which is the
-    elementwise multiply that np.kron(op, I) performs, bit for bit.
+    On A the lift carries op(i, j) at the entries (2i+k, 2j+k), k in {0,1}: the
+    broadcast product op[i, j] * I[k, l] at (2i+k, 2j+l), which is the
+    elementwise multiply that np.kron(op, I) performs, bit for bit.  On B it is
+    block-diagonal with one copy of op per A value: I[k, l] * op[i, j] at
+    (2k+i, 2l+j), as np.kron(I, op).
     """
-    return TwoQubitOperator((op.matrix[:, None, :, None] * _EYE2[None, :, None, :]).reshape(4, 4))
+    if particle == "A":
+        blocks = m[..., :, None, :, None] * _EYE2[:, None, :]
+    else:
+        blocks = _EYE2[:, None, :, None] * m[..., None, :, None, :]
+    return blocks.reshape(*m.shape[:-2], 4, 4)
+
+
+def lift_a(op: SingleQubitOperator) -> TwoQubitOperator:
+    """Act with `op` on particle A and leave B untouched."""
+    return TwoQubitOperator(_lift(op.matrix, "A"))
 
 
 def lift_b(op: SingleQubitOperator) -> TwoQubitOperator:
-    """Act with `op` on particle B: block-diagonal with one copy of op per A value.
-
-    The broadcast product I[k, l] * op[i, j] at (2k+i, 2l+j), as np.kron(I, op).
-    """
-    return TwoQubitOperator((_EYE2[:, None, :, None] * op.matrix[None, :, None, :]).reshape(4, 4))
+    """Act with `op` on particle B and leave A untouched."""
+    return TwoQubitOperator(_lift(op.matrix, "B"))
 
 
 _PROJECTORS: dict[tuple[str, int], TwoQubitOperator] = {
