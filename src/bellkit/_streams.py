@@ -81,7 +81,7 @@ def block_rows(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
     block may straddle 2**32.
     """
     if not (0 <= seed <= MAX_SEED and 0 <= start <= stop <= 2**64):
-        raise ValueError(f"draws needs a 64-bit seed and shot indices, got {seed}, {start}..{stop}")
+        raise ValueError(f"block_rows needs a 64-bit seed and shot indices, got {seed}, {start}..{stop}")
     n = stop - start
     index = np.arange(n, dtype=np.uint64) + _U(start % 2**64)  # start is 2**64 only when n is 0
     seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
@@ -108,15 +108,3 @@ def _pcg64_rows(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
         x, rot = hi ^ lo, hi >> _U(58)
         yield (((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)) * _TO_UNIT
 
-
-def draws(seed: int, start: int, stop: int, k: int) -> np.ndarray:
-    """The first `k` draws of shots start..stop-1, as a (k, stop - start) array.
-
-    Column j equals ``derive_rng(seed, start + j).random(k)`` bit for bit: the
-    first k rows of `block_rows`.
-    """
-    rows = block_rows(seed, start, stop)
-    out = np.empty((k, stop - start))
-    for depth, row in zip(range(k), rows):
-        out[depth] = row
-    return out

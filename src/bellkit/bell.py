@@ -22,6 +22,7 @@ from .core import (
     INV_SQRT2,
     SingleQubitState,
     TwoQubitState,
+    _require_normalized,
     basis_state,
     tensor,
 )
@@ -84,21 +85,20 @@ def separability_defect(s: TwoQubitState) -> float:
 def factorize(s: TwoQubitState) -> Optional[tuple[SingleQubitState, SingleQubitState]]:
     """Split a separable state into normalized per-particle factors.
 
-    Returns None when the defect exceeds EPS_SEP; the zero vector, which has
-    no factors, is a ValueError.  For a separable input the
+    Returns None when the defect exceeds EPS_SEP; a state that is not
+    normalized (`s.subnormalized`) is a ValueError.  For a separable input the
     reconstruction tensor(a, b) reproduces s exactly (global phase included):
     the B factor is read off the dominant row of the coefficient matrix and
     each A amplitude is that row basis's coefficient, so the arbitrary phase
     split between the factors cancels in the product.
     """
+    _require_normalized(s, "factorize")
     if separability_defect(s) > EPS_SEP:
         return None
     rows = ((s.g00, s.g01), (s.g10, s.g11))
     norms = tuple(math.hypot(abs(r[0]), abs(r[1])) for r in rows)
     dominant = 0 if norms[0] >= norms[1] else 1
     d = norms[dominant]
-    if d == 0.0:
-        raise ValueError("the zero vector is not a state and has no factors")
     b0 = rows[dominant][0] / d
     b1 = rows[dominant][1] / d
     # a_i = <b | row_i>; for an exactly separable state this recovers the
@@ -157,10 +157,8 @@ def _strip_leading_phase(s: SingleQubitState) -> tuple[complex, SingleQubitState
 
 
 def classify(s: TwoQubitState) -> StateClassification:
-    """Classify a normalized state; priority basis > bell > product > general.
-
-    The zero vector is not a state: `factorize` raises ValueError for it.
-    """
+    """Classify a normalized state (any other is a ValueError); priority basis > bell > product > general."""
+    _require_normalized(s, "classify")
     amps = s.amplitudes
 
     # Basis: one amplitude of unit modulus, the rest negligible.

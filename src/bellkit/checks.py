@@ -166,8 +166,7 @@ def nearest_product_distance(s: core.TwoQubitState) -> float:
     min over products of || s - phase * (a x b) ||.  A state that is not
     normalized (`s.subnormalized`) is a ValueError.
     """
-    if s.subnormalized:
-        raise ValueError(f"nearest_product_distance needs a normalized state, got norm {s.norm()!r}")
+    core._require_normalized(s, "nearest_product_distance")
     return float(_nearest_product_distances(s.vector.reshape(1, 2, 2))[0])
 
 

@@ -1,9 +1,9 @@
 """Command-line interface: run, demo, sweep, check.
 
 Exit codes: 0 success, 1 usage error or a --trace run out of memory, 2 parse/validate
-failure of a program file, 3 self-test failure (demo or check).  All report output is
-plain text, JSON, or CSV on stdout; diagnostics and errors go to stderr.  Output depends
-only on the arguments, so identical invocations produce identical bytes.
+failure of a program file, 3 self-test failure (demo or check), 130 interrupted.  All
+report output is plain text, JSON, or CSV on stdout; diagnostics and errors go to stderr.
+Output depends only on the arguments, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     format_real,
     lift_a,
     named_operator,
+    normalize,
     states_close,
 )
 from .engine import (
@@ -276,10 +277,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     lines.extend(_render_counts_table(stats))
     if "none" in stats.counts:  # no shot measures: a text report shows shot 0's final state
         final = (stats.results[0] if args.trace else run_shot(compiled, derive_rng(stats.seed, 0))).final_state
+        shown = normalize(final) if final.subnormalized else final  # raw steps may move the norm past EPS_NORM
         lines.append("")
         lines.append(f"final state: {_format_state(final)}")
-        lines.append(f"classification: {_classification_label(classify(final))}")
-        lines.append(f"relative bit: {_relative_bit_label(final)}")
+        lines.append(f"classification: {_classification_label(classify(shown))}")
+        lines.append(f"relative bit: {_relative_bit_label(shown)}")
     if not args.trace:
         print("\n".join(lines))
         return 0
@@ -354,7 +356,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except KeyboardInterrupt:
+        print("bellkit: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

@@ -149,6 +149,13 @@ class TwoQubitState:
         return cls(*np.asarray(vec, dtype=complex).reshape(4).tolist())
 
 
+def _require_normalized(s: TwoQubitState, caller: str) -> None:
+    """Raise ValueError, naming `caller`, for a state whose `subnormalized` flag is set."""
+    if s.subnormalized:
+        got = "the zero vector" if s.norm() == 0.0 else f"norm {s.norm()!r}"
+        raise ValueError(f"{caller} needs a normalized state, got {got}")
+
+
 def basis_state(index: int) -> TwoQubitState:
     """Computational basis state |ab> with index = 2*a + b."""
     if index not in (0, 1, 2, 3):

@@ -20,18 +20,12 @@ visit; a run stores at most NODE_BUDGET nodes and runs the branches past them un
 Once a run has enough shots to repay a block's fixed cost, `run` computes the
 same ``PCG64(SeedSequence([s, i]))`` draws for blocks of shots at once
 (`_streams.block_rows`, numpy integer arithmetic, bit-exact with
-``Generator.random()``).  A block is seeded once, then steps every shot once
-per tree level, so a shot's d-th draw decides its d-th branch, and it stops
-when no shot is left at an inner node.  The block goes down the tree a level
-at a time: the shots at a level's nodes split by array comparisons, and the
-level's missing children are built together.  A counts-only run builds them
-in one numpy pass over their stacked amplitudes (`_BranchTree._build_level`),
-which computes each probability with the scalar code's floating-point
-operations and keeps only outcome keys; a run that keeps its results builds
-them with the shot code, once per node, and so does every run for the root's
-one or two children, where the shot code is the faster.  Past the split only
-the branch is kept.  `derive_rng` and the one-shot `walk` stay the reference;
-shorter runs use them per shot; a counts-only run that measures nothing runs no shot.
+``Generator.random()``) and walks each block down the tree a level at a time,
+so that a shot's d-th draw decides its d-th branch (`_BranchTree.walk_block`).
+`derive_rng` and the one-shot `walk` stay the reference; shorter runs use them
+per shot.  A run derives no stream when the leaves a shot can reach without a
+drawing measurement share one key (`_leaf_groups`): as only a random-sign root
+draws without adding a token, the root and its two children decide it.
 
 `compile` validates a program once and resolves its preparation and steps.  `run`
 and `run_shot` take its `CompiledProgram`, or compile a plain program on entry, so
@@ -72,6 +66,7 @@ from .core import (
     TwoQubitOperator,
     TwoQubitState,
     _norm,
+    _require_normalized,
     apply2,
     basis_state,
     bell_operator,
@@ -81,7 +76,7 @@ from .core import (
     normalize,
     projector,
 )
-from ._streams import block_rows, draws  # draws stays importable as engine.draws
+from ._streams import block_rows
 
 __all__ = [
     "EPS_DET",
@@ -217,8 +212,10 @@ def relative_bit(s: TwoQubitState) -> RelativeBitResult:
     """Read the same/different bit without collapsing the state.
 
     Determinate iff the state lives on one diagonal: p_same within EPS_DET of
-    1 gives SAME, of 0 gives DIFFERENT; anything else is indeterminate.
+    1 gives SAME, of 0 gives DIFFERENT; anything else is indeterminate.  A state
+    that is not normalized (`s.subnormalized`) is a ValueError.
     """
+    _require_normalized(s, "relative_bit")
     p_same, certain, _ = _first_outcome(s, None)
     return RelativeBitResult(None if certain is None else _RELATIVE_BITS[certain], p_same)
 
@@ -638,15 +635,19 @@ def _checked(rows: Iterator[np.ndarray], rng: np.random.Generator) -> Iterator[n
 def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
     """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
 
-    Runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()``
-    differs from `block_rows` in shot 0, walk each shot with `derive_rng`.
+    One rule spares a run every stream: when the leaves a shot can reach without a drawing
+    measurement share one counts key, that leaf is every shot's.  They are the root, or a
+    counts-only run's two children of a random-sign root (a kept run needs one leaf object).
+    These 3 nodes are enough: a measurement that draws appends a different token per branch.
+    Other runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()`` differs
+    from `block_rows` in shot 0, walk each shot with `derive_rng`.
     """
-    if not keep and all(action[0] != "measure" for action in program.actions):
-        yield (None, "none"), shots, slice(None)  # every shot's key: no tree is built, no stream derived
-        return
     tree = _BranchTree(program, NODE_BUDGET)
-    if not isinstance(tree.root, _Node):  # no shot draws: no stream is derived
-        yield tree.root, shots, slice(None)
+    reached = [tree.root]
+    if not keep and len(program.prepared) == 2:  # the root draws the sign, which adds no token
+        reached = [tree._child(tree.root, branch) for branch in (0, 1)]
+    if not any(isinstance(leaf, _Node) for leaf in reached) and len({leaf[1] for leaf in reached}) == 1:
+        yield reached[0], shots, slice(None)
         return
     if shots >= _BULK_MIN_SHOTS:
         try:

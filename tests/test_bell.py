@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellkit import bell, core
+from bellkit import bell, core, engine
 from bellkit.checks import (
     nearest_product_distance,
     random_product_state,
@@ -254,6 +255,18 @@ class TestZeroVector:
     def test_classify_names_the_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
             bell.classify(core.TwoQubitState(0, 0, 0, 0))
+
+
+class TestUnnormalizedStates:
+    # phi+ at twice its squared norm, |00> at norm 2, phi+ at norm 0.14: no answer would be right.
+    STATES = [core.TwoQubitState(1, 0, 0, 1), core.TwoQubitState(2, 0, 0, 0), core.TwoQubitState(0.1, 0, 0, 0.1)]
+
+    @pytest.mark.parametrize("state", STATES, ids=["phi-norm-1.41", "basis-norm-2", "phi-norm-0.14"])
+    @pytest.mark.parametrize("function", [bell.classify, bell.factorize, engine.relative_bit], ids=lambda f: f.__name__)
+    def test_is_a_value_error_naming_the_norm(self, function, state):
+        message = f"{function.__name__} needs a normalized state, got norm {state.norm()!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            function(state)
 
 
 class TestNearestProductOracle:

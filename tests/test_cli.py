@@ -63,6 +63,16 @@ class TestRunCommand:
         assert "classification: basis |01>" in lines
         assert "relative bit: Different" in lines
 
+    def test_a_final_state_that_raw_steps_took_off_norm_is_classified(self, tmp_path, capsys):
+        # Each raw step is unitary within EPS_OP, so the final norm ends 2.25e-9 past 1, beyond EPS_NORM.
+        grow = " ".join(["1.00000000045", "0", "0", "0", "0", "0", "1.00000000045", "0"])
+        source = f"prepare raw 1.0000000009 0 0 0 0 0 0 0\napply raw A {grow}\napply raw A {grow}\napply raw B {grow}\n"
+        prog, _ = circuit.parse(source)
+        assert engine.run_shot(prog, None).final_state.subnormalized
+        code, out, _ = invoke(capsys, ["run", write(tmp_path, "drift.bk", source), "--shots", "3"])
+        assert code == 0
+        assert out.splitlines()[-2:] == ["classification: basis |00>", "relative bit: Same"]
+
     def test_shots_and_seed_overrides_show_up(self, tmp_path, capsys):
         path = write(tmp_path, "sampled.bk", SAMPLED)
         code, out, _ = invoke(capsys, ["run", path, "--shots", "50", "--seed", "123"])
@@ -137,32 +147,25 @@ class TestMeasurementFreeReport:
         path = write(tmp_path, "sign.bk", self.SOURCE)
         prog, _ = circuit.parse(self.SOURCE)
         assert len({id(shot) for shot in run(prog, 64, 1, keep_results=True).results}) == 2
-        trees = []
-
-        class CountingTree(engine._BranchTree):
-            def __init__(self, *args, **kwargs):
-                trees.append(self)
-                super().__init__(*args, **kwargs)
-
         signs = set()
         for seed in range(8):
             for shots in (1, engine._BULK_MIN_SHOTS + 1):
                 expected = cli._format_state(run_shot(prog, derive_rng(seed, 0)).final_state)
-                monkeypatch.setattr(engine, "_BranchTree", CountingTree)
-                trees.clear()
+                rngs, blocks = count_calls(monkeypatch, "engine", "derive_rng"), count_calls(monkeypatch, "_streams", "block_rows")
                 code, out, _ = invoke(capsys, ["run", path, "--seed", str(seed), "--shots", str(shots)])
                 monkeypatch.undo()
-                assert code == 0 and len(trees) == 1
+                assert code == 0 and rngs == [(seed, 0)] and blocks == []  # the report's shot 0 only
                 assert f"final state: {expected}" in out.splitlines()
                 signs.add(expected.split()[-1])
             if seed == 1:
                 assert "-0.707107+0.000000i" in out
         assert signs == {"0.707107+0.000000i", "-0.707107+0.000000i"}
 
-    def test_a_run_of_1e11_shots_prints_its_report(self, tmp_path, capsys):
+    def test_a_run_of_1e11_shots_prints_its_report(self, tmp_path, capsys, monkeypatch):
         # No shot but shot 0 runs: keeping one result per shot once ended in numpy's _ArrayMemoryError.
         shots = "100000000000"
-        sample = str(Path(__file__).resolve().parents[1] / "programs" / "pipeline.bk")
+        programs = Path(__file__).resolve().parents[1] / "programs"
+        sample = str(programs / "pipeline.bk")
         code, out, _ = invoke(capsys, ["run", sample, "--shots", shots])
         assert code == 0
         assert out == (
@@ -172,6 +175,19 @@ class TestMeasurementFreeReport:
         )
         code, out, _ = invoke(capsys, ["run", write(tmp_path, "sign.bk", self.SOURCE), "--shots", shots, "--format", "json"])
         assert code == 0 and json.loads(out) == {"shots": int(shots), "seed": 0, "counts": {"none": int(shots)}}
+
+        # Counts that cannot depend on the draws: every shot reaches one key, and no stream is derived.
+        def forbidden(*args):
+            raise AssertionError("a run whose shots all reach one key derived a stream")
+
+        for name in ("block_rows", "derive_rng"):
+            monkeypatch.setattr(engine, name, forbidden)
+        code, out, _ = invoke(capsys, ["run", str(programs / "flip_relative.bk"), "--shots", shots])
+        assert code == 0
+        assert out == f"shots: {shots}\nseed: 1\n\noutcome               count  frequency\nrel=Different  {shots}  1.000000\n"
+        twice = "prepare bell-random-sign psi s0=0.3\napply flip A\nmeasure relative\napply t_minus B\nmeasure relative\n"
+        code, out, _ = invoke(capsys, ["run", write(tmp_path, "twice.bk", twice), "--shots", shots, "--format", "json"])
+        assert code == 0 and json.loads(out) == {"shots": int(shots), "seed": 0, "counts": {"rel=Same,rel=Same": int(shots)}}
 
 
 # The per-shot renderer cli.cmd_run used before it rendered each distinct
@@ -384,6 +400,17 @@ class TestRunFailures:
         code, out, err = invoke(capsys, ["run", path])
         assert code == 2 and out == ""
         assert err == f"{path}:1:1: error: raw preparation is not normalized (norm inf, tolerance 1e-09)\n"
+
+    def test_an_interrupt_is_one_stderr_line_and_exit_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_demo", interrupted)
+        try:
+            result = invoke(capsys, ["demo"])
+        except KeyboardInterrupt:  # uncaught, it would end the whole test session
+            pytest.fail("cli.main let a KeyboardInterrupt through")
+        assert result == (130, "", "bellkit: interrupted\n")
 
     def test_invalid_utf8(self, tmp_path, capsys):
         path = tmp_path / "binary.bk"

@@ -327,20 +327,42 @@ class TestRun:
         assert stats.counts == {"none": 8}
 
     def test_a_counts_only_measurement_free_run_runs_no_shot(self, monkeypatch):
-        # Every shot's key is "none": not one stream is derived, so 1e11 shots take no time.
-        prog = program(BellRandomSignPreparation(bell_class="phi"), ApplyNamed(name="flip", particle="A"))
-        replay = _replay(prog, 40, 6)
+        # Every shot's key is "none": no shot is walked and not one stream is derived, so 1e11
+        # shots take no time; the tree holds the root and at most a random sign's two children.
+        for prog in (
+            program(BellRandomSignPreparation(bell_class="phi"), ApplyNamed(name="flip", particle="A")),
+            program(BasisPreparation(index=2), ApplyBellOperator()),
+        ):
+            replay, trees = _replay(prog, 40, 6), []
 
-        def forbidden(*args):
-            raise AssertionError("a measurement-free counts-only run built a tree or derived a stream")
+            class RecordingTree(engine._BranchTree):
+                def __init__(self, *args, **kwargs):
+                    trees.append(self)
+                    super().__init__(*args, **kwargs)
 
-        for name in ("_BranchTree", "block_rows", "derive_rng"):
-            monkeypatch.setattr(engine, name, forbidden)
-        stats = run(prog, 10**11, 6)
-        assert (stats.shots, stats.seed, stats.counts, stats.results) == (10**11, 6, {"none": 10**11}, None)
-        monkeypatch.undo()
-        assert run(prog, 40, 6, keep_results=True) == replay
-        assert run(prog, 40, 6).counts == replay.counts == {"none": 40}
+            def forbidden(*args):
+                raise AssertionError("a measurement-free counts-only run walked a shot or derived a stream")
+
+            for name in ("block_rows", "derive_rng"):
+                monkeypatch.setattr(engine, name, forbidden)
+            for name in ("walk", "walk_block"):
+                monkeypatch.setattr(engine._BranchTree, name, forbidden)
+            monkeypatch.setattr(engine, "_BranchTree", RecordingTree)
+            stats = run(prog, 10**11, 6)
+            assert (stats.shots, stats.seed, stats.counts, stats.results) == (10**11, 6, {"none": 10**11}, None)
+            assert len(trees) == 1 and trees[0].size <= 3
+            monkeypatch.undo()
+            assert run(prog, 40, 6, keep_results=True) == replay
+            assert run(prog, 40, 6).counts == replay.counts == {"none": 40}
+
+    def test_deterministic_outcomes_that_differ_by_sign_are_drawn(self):
+        # Each sign's outcome is certain, A=0 or A=1: one key per child, so every shot draws its sign.
+        prog = program(BellRandomSignPreparation(bell_class="phi"), ApplyBellOperator(), MeasureValue(particle="A"))
+        for shots in (1, engine._BULK_MIN_SHOTS - 1, 40, 1000):
+            replay = _replay(prog, shots, 6)
+            assert run(prog, shots, 6).counts == replay.counts
+            assert run(prog, shots, 6, keep_results=True) == replay
+        assert set(replay.counts) == {"A=0", "A=1"}
 
 
 class TestCompile:
@@ -378,13 +400,18 @@ def _replay(prog, shots, seed):
     return engine.ShotStatistics(shots=shots, seed=seed, counts=counts, results=results)
 
 
+def _draws(seed, start, stop, k):
+    """The first `k` rows of `engine.block_rows`, as a (k, stop - start) array."""
+    return np.array([row for _, row in zip(range(k), engine.block_rows(seed, start, stop))])
+
+
 class TestDraws:
     SEEDS = (0, 7, 424242, 2**32 - 1, 2**32, 2**64 - 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("index", [0, 1, 2**32 - 1, 2**32])
     def test_equals_derive_rng(self, seed, index):
-        got = engine.draws(seed, index, index + 1, 4)
+        got = _draws(seed, index, index + 1, 4)
         rng = derive_rng(seed, index)
         assert got.shape == (4, 1) and got.dtype == np.float64
         assert got[:, 0].tolist() == [rng.random() for _ in range(4)]
@@ -393,16 +420,16 @@ class TestDraws:
     @pytest.mark.parametrize("start", [0, 2**32 - 3, 2**64 - 5])
     def test_a_block_equals_derive_rng_per_column(self, seed, start):
         # The block at 2**32 - 3 straddles 2**32, where an index gains a second entropy word.
-        got = engine.draws(seed, start, start + 5, 3)
+        got = _draws(seed, start, start + 5, 3)
         for column, index in enumerate(range(start, start + 5)):
             rng = derive_rng(seed, index)
             assert got[:, column].tolist() == [rng.random() for _ in range(3)]
 
     def test_rejects_indices_and_seeds_beyond_64_bits(self):
         with pytest.raises(ValueError):
-            engine.draws(0, 2**64 - 1, 2**64 + 1, 1)
+            _draws(0, 2**64 - 1, 2**64 + 1, 1)
         with pytest.raises(ValueError):
-            engine.draws(2**64, 0, 1, 1)
+            _draws(2**64, 0, 1, 1)
 
 
 class TestBranchTree:
