@@ -78,7 +78,11 @@ def bell_state(descriptor: BellDescriptor) -> TwoQubitState:
 
 
 def separability_defect(s: TwoQubitState) -> float:
-    """|g00*g11 - g01*g10|: zero iff separable, 1/2 at Bell states."""
+    """|g00*g11 - g01*g10|: zero iff separable, 1/2 at Bell states.
+
+    Defined on any vector, it scales with the squared norm: TwoQubitState(2, 0, 0, 2)
+    gives 4.0.  Callers pass normalized states for the separability criterion.
+    """
     return abs(s.g00 * s.g11 - s.g01 * s.g10)
 
 

@@ -4,8 +4,9 @@ Every group runs with fixed seeds so the outcome is reproducible; `run_all`
 returns one result per group and the CLI `check` subcommand renders them.
 A group whose draw pattern is fixed draws all its samples in one call and
 checks them as stacked arrays, bit for bit as one sample at a time.
-The nearest-product-state search is an independent oracle: it never calls
-the determinant-based separability test it is used to cross-check.
+The nearest-product distance is an independent oracle: it reads the largest
+Schmidt coefficient from an SVD and never calls the determinant-based
+separability test it is used to cross-check.
 """
 
 from __future__ import annotations
@@ -137,33 +138,15 @@ def _rotation(theta: float) -> core.SingleQubitOperator:
     return core.SingleQubitOperator([[c, -s], [s, c]])
 
 
-_GRID, _STARTS, _ITERATIONS = 12, 4, 60  # the nearest-product search: grid points per angle, starts, refinements
-
-
-def _b_grid() -> np.ndarray:
-    """The search's B factors, (_GRID^2, 2): beta in [0, pi/2] by phi in [0, 2 pi)."""
-    beta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi / 2, _GRID),
-        np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False),
-        indexing="ij",
-    )
-    return np.stack([np.cos(beta).ravel(), (np.sin(beta) * np.exp(1j * phi)).ravel()]).T
-
-
-_B_GRID = _b_grid()
-_SCORE_SLICE = 50  # states scored at once: bounds the (states, _GRID^2, 2) temporaries
-
-
 def nearest_product_distance(s: core.TwoQubitState) -> float:
     """Distance from a normalized state to the closest normalized product state.
 
-    Maximizes the overlap modulus |<a x b | s>|.  A coarse grid over the
-    B-factor angles picks starting points (the best A-factor for a fixed b
-    is closed-form: it aligns with G conj(b)), then alternating exact
-    updates of a and b refine each start; the overlap value is monotone
-    under these updates, so the iteration converges.  The modulus already
-    optimizes over the global phase, so the result is
-    min over products of || s - phase * (a x b) ||.  A state that is not
+    By the Schmidt decomposition the largest overlap |<a x b | s>| over
+    normalized factors is the largest Schmidt coefficient: the largest
+    singular value sigma_1 of the 2x2 coefficient matrix G.  The overlap's
+    modulus already optimizes over the global phase, so the result is
+    min over products of || s - phase * (a x b) || = sqrt(2 - 2 sigma_1),
+    computed from an SVD without the determinant test.  A state that is not
     normalized (`s.subnormalized`) is a ValueError.
     """
     core._require_normalized(s, "nearest_product_distance")
@@ -171,34 +154,9 @@ def nearest_product_distance(s: core.TwoQubitState) -> float:
 
 
 def _nearest_product_distances(g: np.ndarray) -> np.ndarray:
-    """The search of nearest_product_distance on each coefficient matrix of an (n, 2, 2) stack.
-
-    Every state's _STARTS starts are lanes of one stack.  A lane stops once
-    its overlap moves by at most 1e-15, and each step updates the lanes
-    still running, with the arithmetic of a one-state search.
-    """
-    order = np.concatenate([
-        np.argsort(np.linalg.norm(_B_GRID.conj() @ part.swapaxes(-1, -2), axis=-1), axis=-1)[:, ::-1][:, :_STARTS]
-        for part in np.split(g, range(_SCORE_SLICE, len(g), _SCORE_SLICE))
-    ])
-    g = np.repeat(g, _STARTS, axis=0)
-    b = _B_GRID[order.ravel()]
-    value = np.zeros(len(g))
-    live = np.arange(len(g))
-    for _ in range(_ITERATIONS):
-        lanes = g[live]
-        w = _apply(lanes, b[live].conj())
-        a = w / _row_norms(w)[:, None]
-        u = _apply(lanes.swapaxes(-1, -2), a.conj())
-        new_value = _row_norms(u)
-        b[live] = u / new_value[:, None]
-        done = np.abs(new_value - value[live]) <= 1e-15
-        value[live] = new_value
-        live = live[~done]
-        if not live.size:
-            break
-    best = np.minimum(value.reshape(-1, _STARTS).max(axis=1), 1.0)
-    return np.sqrt(2.0 - 2.0 * best)
+    """nearest_product_distance of each coefficient matrix of an (n, 2, 2) stack, from one stacked SVD."""
+    sigma = np.linalg.svd(g, compute_uv=False)[:, 0]
+    return np.sqrt(2.0 - 2.0 * np.minimum(sigma, 1.0))
 
 
 def _max_entry(m: np.ndarray) -> float:
@@ -349,7 +307,7 @@ def check_factorization() -> CheckResult:
 
 
 def check_nearest_product_oracle() -> CheckResult:
-    """Brute-force nearest-product search agrees with the defect test on 200 states."""
+    """The largest-Schmidt-coefficient distance agrees with the defect test on 200 states."""
     rng = np.random.default_rng(106)
     vectors = np.concatenate([_products(rng.normal(size=(100, 2, 2, 2))), _unit_vectors(rng.normal(size=(100, 2, 4)))])
     distances = _nearest_product_distances(vectors.reshape(200, 2, 2))

@@ -43,6 +43,7 @@ from .core import (
     SingleQubitOperator,
     TwoQubitState,
     _reim_text,
+    _require_type,
     format_real,
     state_text,
 )
@@ -324,6 +325,7 @@ def _statement(tokens: list[_Token], line_no: int, diags: list[Diagnostic]) -> o
 
 def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
     """Parse source text; returns (program, []) or (None, error diagnostics)."""
+    _require_type("source", source, str)
     diags: list[Diagnostic] = []
     prepare_seen = False  # a malformed prepare line has its own diagnostic
     steps: list[Step] = []
@@ -375,6 +377,7 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
     particles have had a value measurement (the state is fully determined
     from that point, so further steps rarely mean what the author hoped).
     """
+    _require_type("program", program, CircuitProgram)
     diags: list[Diagnostic] = []
     prep = program.preparation
     if isinstance(prep, RawPreparation) and prep.state.subnormalized:

@@ -156,6 +156,12 @@ def _require_normalized(s: TwoQubitState, caller: str) -> None:
         raise ValueError(f"{caller} needs a normalized state, got {got}")
 
 
+def _require_type(name: str, value, *kinds: type) -> None:
+    """Raise TypeError, naming the parameter `name`, for a `value` of none of `kinds`."""
+    if not isinstance(value, kinds):
+        raise TypeError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
+
+
 def basis_state(index: int) -> TwoQubitState:
     """Computational basis state |ab> with index = 2*a + b."""
     if index not in (0, 1, 2, 3):
@@ -313,11 +319,13 @@ def _lift(m: np.ndarray, particle: Particle) -> np.ndarray:
 
 def lift_a(op: SingleQubitOperator) -> TwoQubitOperator:
     """Act with `op` on particle A and leave B untouched."""
+    _require_type("op", op, SingleQubitOperator)
     return TwoQubitOperator(_lift(op.matrix, "A"))
 
 
 def lift_b(op: SingleQubitOperator) -> TwoQubitOperator:
     """Act with `op` on particle B and leave A untouched."""
+    _require_type("op", op, SingleQubitOperator)
     return TwoQubitOperator(_lift(op.matrix, "B"))
 
 

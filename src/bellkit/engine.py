@@ -67,6 +67,7 @@ from .core import (
     TwoQubitState,
     _norm,
     _require_normalized,
+    _require_type,
     apply2,
     basis_state,
     bell_operator,
@@ -327,6 +328,7 @@ def compile(program: Union[CircuitProgram, CompiledProgram]) -> CompiledProgram:
     error.  A compiled program is returned as it is."""
     if isinstance(program, CompiledProgram):
         return program
+    _require_type("program", program, CircuitProgram, CompiledProgram)
     diagnostics = validate(program)
     if any(d.severity == "error" for d in diagnostics):
         raise InvalidProgram(diagnostics)
@@ -667,6 +669,8 @@ def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) ->
 
 def run_shot(program: Union[CircuitProgram, CompiledProgram], rng: RandomStream) -> ShotResult:
     """Execute one shot (of a program compiled once, in a loop): prepare, apply steps, record measurements."""
+    if not callable(getattr(rng, "random", None)):
+        raise TypeError(f"rng must have a callable random(), got {type(rng).__name__}")
     return _BranchTree(program, budget=0).walk(rng)[0]
 
 

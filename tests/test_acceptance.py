@@ -83,13 +83,13 @@ def test_criterion_3_projector_theorem():
 
 def test_criterion_4_separability_criterion():
     # factorization: 1000 products factor and re-tensor; bell-family: each Bell state's defect is 0.5;
-    # nearest-product-oracle: the defect test agrees with a brute-force search on 200 states.
+    # nearest-product-oracle: the defect test agrees with the largest-Schmidt-coefficient distance on 200 states.
     for group in (check_factorization, check_bell_family, check_nearest_product_oracle):
         assert_passes(group)
 
     for sign in (1, -1):  # the factorization group tries phi± only
         assert factorize(bell_state(BellDescriptor("psi", sign))) is None
-    print("PASS criterion 4: determinant defect matches factorization and a 200-state search oracle")
+    print("PASS criterion 4: determinant defect matches factorization and a 200-state Schmidt-coefficient oracle")
 
 
 def test_criterion_5_lifting_theorem():

@@ -323,8 +323,17 @@ class TestParseErrors:
         program, diags = parse("prepare basis 00\nmeasure value A\nbogus\n")
         assert program is None and len(diags) == 1
 
+    @pytest.mark.parametrize("source,kind", [(None, "NoneType"), (b"prepare basis 00\n", "bytes")])
+    def test_a_source_that_is_not_a_str_is_a_type_error(self, source, kind):
+        with pytest.raises(TypeError, match=f"^source must be a str, got {kind}$"):
+            parse(source)
+
 
 class TestValidate:
+    def test_a_program_that_is_not_a_circuit_program_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^program must be a CircuitProgram, got NoneType$"):
+            validate(None)
+
     def test_clean_program_has_no_diagnostics(self):
         program = parse_ok(
             "prepare bell phi +\napply flip A\nmeasure relative\nmeasure value A\n"

@@ -68,7 +68,7 @@ class TestRunCommand:
         grow = " ".join(["1.00000000045", "0", "0", "0", "0", "0", "1.00000000045", "0"])
         source = f"prepare raw 1.0000000009 0 0 0 0 0 0 0\napply raw A {grow}\napply raw A {grow}\napply raw B {grow}\n"
         prog, _ = circuit.parse(source)
-        assert engine.run_shot(prog, None).final_state.subnormalized
+        assert engine.run_shot(prog, derive_rng(0, 0)).final_state.subnormalized
         code, out, _ = invoke(capsys, ["run", write(tmp_path, "drift.bk", source), "--shots", "3"])
         assert code == 0
         assert out.splitlines()[-2:] == ["classification: basis |00>", "relative bit: Same"]

@@ -224,6 +224,11 @@ class TestTensorAndLifts:
         with pytest.raises(ValueError):
             core.compose(core.named_operator("flip"), core.bell_operator())
 
+    @pytest.mark.parametrize("lift", [core.lift_a, core.lift_b])
+    def test_a_lift_of_a_pair_operator_is_a_type_error(self, lift):
+        with pytest.raises(TypeError, match="^op must be a SingleQubitOperator, got TwoQubitOperator$"):
+            lift(core.TwoQubitOperator(np.eye(4)))
+
 
 class TestBellOperatorAndProjectors:
     def test_bell_operator_matrix(self):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +383,20 @@ class TestCompile:
         run_shot(compiled, derive_rng(3, 0))
         run(compiled.program, 1, 3)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: run(None), lambda: run_shot(None, derive_rng(1, 0)), lambda: engine.compile(None),
+    ], ids=["run", "run_shot", "compile"])
+    def test_a_program_that_is_not_a_program_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="^program must be a CircuitProgram or CompiledProgram, got NoneType$"):
+            call()
+
+    @pytest.mark.parametrize("source", ["prepare bell phi +\napply flip A\n", "prepare bell phi +\nmeasure value A\n"])
+    @pytest.mark.parametrize("rng", [None, object(), SimpleNamespace(random=0.5)])
+    def test_an_rng_without_a_callable_random_is_a_type_error(self, source, rng):
+        compiled = engine.compile(circuit.parse(source)[0])
+        with pytest.raises(TypeError, match=f"^rng must have a callable random\\(\\), got {type(rng).__name__}$"):
+            run_shot(compiled, rng)
 
     def test_star_import_leaves_the_builtin_compile_alone(self):
         namespace = {}
