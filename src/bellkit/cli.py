@@ -9,6 +9,7 @@ Output depends only on the arguments, so identical invocations produce identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,10 +42,8 @@ from .engine import (
     RelativeBit,
     ShotResult,
     ShotStatistics,
-    derive_rng,
     relative_bit,
     run,
-    run_shot,
 )
 
 
@@ -76,6 +75,7 @@ def _points_value(text: str) -> int:
     return value
 
 
+@functools.cache  # one parser per process: `main` looks its handler up per call, so a patched cmd_* is the one run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellkit",
@@ -91,20 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("text", "json"), default="text", dest="output_format")
     p_run.add_argument("--trace", action="store_true", help="include per-shot measurement records")
     p_run.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
-    p_run.set_defaults(handler=cmd_run)
 
-    p_demo = sub.add_parser("demo", help="print the built-in entangle/flip/disentangle pipeline")
-    p_demo.set_defaults(handler=cmd_demo)
+    sub.add_parser("demo", help="print the built-in entangle/flip/disentangle pipeline")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of the Bell family weight s0")
     p_sweep.add_argument("--class", choices=("phi", "psi"), default="phi", dest="bell_class")
     p_sweep.add_argument("--points", type=_points_value, default=21, help="number of s0 samples in [0, 1]")
     p_sweep.add_argument("--shots", type=_positive_int, default=1024)
     p_sweep.add_argument("--seed", type=_seed_value, default=0)
-    p_sweep.set_defaults(handler=cmd_sweep)
 
-    p_check = sub.add_parser("check", help="run the invariant self-test suites")
-    p_check.set_defaults(handler=cmd_check)
+    sub.add_parser("check", help="run the invariant self-test suites")
     return parser
 
 
@@ -276,7 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     lines = [f"shots: {stats.shots}", f"seed: {stats.seed}", ""]
     lines.extend(_render_counts_table(stats))
     if "none" in stats.counts:  # no shot measures: a text report shows shot 0's final state
-        final = (stats.results[0] if args.trace else run_shot(compiled, derive_rng(stats.seed, 0))).final_state
+        final = (stats.results[0] if args.trace else engine._shot_zero(stats)).final_state
         shown = normalize(final) if final.subnormalized else final  # raw steps may move the norm past EPS_NORM
         lines.append("")
         lines.append(f"final state: {_format_state(final)}")
@@ -350,14 +346,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code; a call prints what a fresh process would."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except KeyboardInterrupt:
         print("bellkit: interrupted", file=sys.stderr)
         return 130

@@ -172,6 +172,7 @@ class ShotStatistics:
     seed: int
     counts: dict[str, int]
     results: Optional[tuple[ShotResult, ...]] = None
+    _tree = None  # not a field: a measurement-free counts-only run's branch tree, for `_shot_zero`
 
     @property
     def frequencies(self) -> dict[str, float]:
@@ -634,8 +635,11 @@ def _checked(rows: Iterator[np.ndarray], rng: np.random.Generator) -> Iterator[n
         yield row
 
 
-def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
-    """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
+def _leaf_groups(
+    tree: _BranchTree, program: CompiledProgram, shots: int, seed: int, keep: bool
+) -> Iterator[tuple[_Leaf, int, object]]:
+    """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order,
+    walked down `tree`, a new tree of `program`.
 
     One rule spares a run every stream: when the leaves a shot can reach without a drawing
     measurement share one counts key, that leaf is every shot's.  They are the root, or a
@@ -644,7 +648,6 @@ def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) ->
     Other runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()`` differs
     from `block_rows` in shot 0, walk each shot with `derive_rng`.
     """
-    tree = _BranchTree(program, NODE_BUDGET)
     reached = [tree.root]
     if not keep and len(program.prepared) == 2:  # the root draws the sign, which adds no token
         reached = [tree._child(tree.root, branch) for branch in (0, 1)]
@@ -712,8 +715,19 @@ def run(
 
     counts: dict[str, int] = {}
     slots = np.empty(shots, dtype=object) if keep_results else None
-    for (shot, key), count, index in _leaf_groups(program, shots, seed, keep_results):
+    tree = _BranchTree(program, NODE_BUDGET)
+    for (shot, key), count, index in _leaf_groups(tree, program, shots, seed, keep_results):
         counts[key] = counts.get(key, 0) + count
         if keep_results:
             slots[index] = shot
-    return ShotStatistics(shots, seed, counts, tuple(slots.tolist()) if keep_results else None)
+    stats = ShotStatistics(shots, seed, counts, tuple(slots.tolist()) if keep_results else None)
+    if "none" in counts and not keep_results:  # no step measures: the tree is the root and its children, if any
+        object.__setattr__(stats, "_tree", tree)
+    return stats
+
+
+def _shot_zero(stats: ShotStatistics) -> ShotResult:
+    """Shot 0's result of a measurement-free counts-only `run`, walked down the tree that run kept (the
+    root, or a random-sign root and its two stored children): only a random sign derives shot 0's stream."""
+    drawn = isinstance(stats._tree.root, _Node)
+    return stats._tree.walk(derive_rng(stats.seed, 0) if drawn else None)[0]

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, reproducibility."""
 
+import argparse
 import ast
 import json
 import os
@@ -160,6 +161,18 @@ class TestMeasurementFreeReport:
             if seed == 1:
                 assert "-0.707107+0.000000i" in out
         assert signs == {"0.707107+0.000000i", "-0.707107+0.000000i"}
+
+    def test_a_preparation_that_draws_nothing_derives_no_stream(self, tmp_path, capsys, monkeypatch):
+        for source in (PIPELINE, "prepare bell psi - s0=0.4\napply t_minus A\n", "prepare raw 0 1 0 0 0 0 0 0\n"):
+            path, prog = write(tmp_path, "fixed.bk", source), circuit.parse(source)[0]
+            for seed, shots in ((0, 1), (3, engine._BULK_MIN_SHOTS + 1), (5, 1000)):
+                expected = cli._format_state(run_shot(prog, derive_rng(seed, 0)).final_state)
+                rngs = count_calls(monkeypatch, "engine", "derive_rng")
+                blocks = count_calls(monkeypatch, "_streams", "block_rows")
+                code, out, _ = invoke(capsys, ["run", path, "--seed", str(seed), "--shots", str(shots)])
+                monkeypatch.undo()
+                assert code == 0 and rngs == [] and blocks == []
+                assert f"final state: {expected}" in out.splitlines()
 
     def test_a_run_of_1e11_shots_prints_its_report(self, tmp_path, capsys, monkeypatch):
         # No shot but shot 0 runs: keeping one result per shot once ended in numpy's _ArrayMemoryError.
@@ -472,6 +485,59 @@ class TestRunFailures:
     def test_help_exits_0(self, capsys):
         code, out, _ = invoke(capsys, ["--help"])
         assert code == 0 and "run" in out and "sweep" in out
+
+
+class TestParserCache:
+    """`main` builds its parser once per process and prints what a fresh parser prints."""
+
+    @staticmethod
+    def argv_lists(tmp_path) -> list[list[str]]:
+        pipeline, sampled = write(tmp_path, "pipeline.bk", PIPELINE), write(tmp_path, "sampled.bk", SAMPLED)
+        broken, missing = write(tmp_path, "broken.bk", "prepare basis 5\n"), str(tmp_path / "missing.bk")
+        return [
+            ["run", sampled], ["run", pipeline], ["run", sampled, "--trace", "--shots", "5"],
+            ["run", pipeline, "--format", "json"], ["run", sampled, "--trace", "--format", "json", "--shots", "3"],
+            ["run", sampled, "--shots", "20", "--seed", "3", "--workers", "2"], ["run", broken], ["run", missing],
+            ["demo"], ["sweep", "--points", "3", "--shots", "16"],
+            ["sweep", "--class", "psi", "--points", "2", "--seed", "5"],
+            ["check"], ["--help"], ["run", "--help"], ["sweep", "--help"], [], ["bogus"], ["run"],
+            ["run", sampled, "--shots", "x"], ["run", sampled, "--shots", "0"], ["run", sampled, "--shots", "\u0663"],
+            ["run", sampled, "--seed", "-1"], ["run", sampled, "--seed", str(2**64)],
+            ["run", sampled, "--workers", "1.5"],
+            ["run", sampled, "--format", "xml"], ["sweep", "--points", "1"], ["sweep", "--points", "x"],
+            ["sweep", "--shots", "0"], ["sweep", "--seed", "x"], ["sweep", "--class", "chi"],
+        ]
+
+    def test_a_reused_parser_prints_what_a_fresh_one_prints(self, tmp_path, capsys, monkeypatch):
+        cases = self.argv_lists(tmp_path)
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+        fresh = [invoke(capsys, argv) for argv in cases]
+        monkeypatch.undo()
+        for _ in range(2):  # interleaved: between two calls with one argv list, every other list is parsed
+            assert [invoke(capsys, argv) for argv in cases] == fresh
+        assert [code for code, _, _ in fresh] == [0] * 6 + [2, 1] + [0] * 7 + [1] * 15
+        assert all(err.startswith("usage: bellkit") for _, _, err in fresh[15:])
+
+    def test_three_calls_construct_one_parser(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        results = [invoke(capsys, argv) for argv in (["demo"], ["sweep", "--points", "2"], ["bogus"])]
+        assert [code for code, _, _ in results] == [0, 0, 1]
+        assert built == ["bellkit", "bellkit run", "bellkit demo", "bellkit sweep", "bellkit check"]
+
+    @pytest.mark.parametrize("command", ["run", "demo", "sweep", "check"])
+    def test_a_handler_patched_after_the_first_build_is_the_one_called(self, tmp_path, capsys, monkeypatch, command):
+        cli._build_parser()
+        called = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: called.append(args.command) or 42)
+        argv = [command, write(tmp_path, "p.bk", PIPELINE)] if command == "run" else [command]
+        assert invoke(capsys, argv) == (42, "", "") and called == [command]
 
 
 INVALID = (
