@@ -272,7 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     lines = [f"shots: {stats.shots}", f"seed: {stats.seed}", ""]
     lines.extend(_render_counts_table(stats))
     if "none" in stats.counts:  # no shot measures: a text report shows shot 0's final state
-        final = (stats.results[0] if args.trace else engine._shot_zero(stats)).final_state
+        final = (stats if args.trace else run(compiled, 1, stats.seed, keep_results=True)).results[0].final_state
         shown = normalize(final) if final.subnormalized else final  # raw steps may move the norm past EPS_NORM
         lines.append("")
         lines.append(f"final state: {_format_state(final)}")

@@ -172,7 +172,6 @@ class ShotStatistics:
     seed: int
     counts: dict[str, int]
     results: Optional[tuple[ShotResult, ...]] = None
-    _tree = None  # not a field: a measurement-free counts-only run's branch tree, for `_shot_zero`
 
     @property
     def frequencies(self) -> dict[str, float]:
@@ -461,7 +460,8 @@ class _BranchTree:
             return apply2(action[1], state), records
         # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS (and measure_value by
         # `first=`), not from its outcome directly, and measure_value keeps its separability_defect check:
-        # bench/tracing.py times all three by name, and bench/test_bench.py fails when a block run stops calling them.
+        # bench/tracing.py times all three by name, and `bench/run.py --trace 1` exits 4 on a workload whose batch
+        # never calls one of them.  On the trace workload, a kept run's `_child` is measure_relative's only caller.
         if action[2] is None:
             record, state = measure_relative(state, rng, step_index=action[1])
         else:
@@ -628,18 +628,19 @@ class _DrawMismatch(Exception):
 
 
 def _checked(rows: Iterator[np.ndarray], rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """`rows`, each checked in column 0 against the next draw of `rng`."""
+    """`rows`, each checked in column 0 against the next draw of `rng`.
+
+    The `derive_rng(seed, 0)` that `_leaf_groups` passes is the only derive_rng call in the shots
+    and trace benchmark workloads, whose runs all take blocks: without it, their `--trace 1` exits 4.
+    """
     for row in rows:
         if row[0] != rng.random():
             raise _DrawMismatch
         yield row
 
 
-def _leaf_groups(
-    tree: _BranchTree, program: CompiledProgram, shots: int, seed: int, keep: bool
-) -> Iterator[tuple[_Leaf, int, object]]:
-    """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order,
-    walked down `tree`, a new tree of `program`.
+def _leaf_groups(program: CompiledProgram, shots: int, seed: int, keep: bool) -> Iterator[tuple[_Leaf, int, object]]:
+    """(leaf, shot count, shot index or indices) groups covering shots 0..shots-1, in first-shot order.
 
     One rule spares a run every stream: when the leaves a shot can reach without a drawing
     measurement share one counts key, that leaf is every shot's.  They are the root, or a
@@ -648,6 +649,7 @@ def _leaf_groups(
     Other runs below _BULK_MIN_SHOTS, or on a numpy whose ``Generator.random()`` differs
     from `block_rows` in shot 0, walk each shot with `derive_rng`.
     """
+    tree = _BranchTree(program, NODE_BUDGET)
     reached = [tree.root]
     if not keep and len(program.prepared) == 2:  # the root draws the sign, which adds no token
         reached = [tree._child(tree.root, branch) for branch in (0, 1)]
@@ -701,6 +703,7 @@ def run(
     whatever `shots` is).  shots/seed default to the program's own settings;
     they and `workers` must be integers (bool and float are a TypeError).
     `workers` must be >= 1 and has no effect; it is accepted for compatibility.
+    `keep_results` keeps one ShotResult per shot: MemoryError when they cannot fit.
     """
     program = compile(program)
     shots = _integer("shots", program.shots if shots is None else shots)
@@ -714,20 +717,12 @@ def run(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     counts: dict[str, int] = {}
-    slots = np.empty(shots, dtype=object) if keep_results else None
-    tree = _BranchTree(program, NODE_BUDGET)
-    for (shot, key), count, index in _leaf_groups(tree, program, shots, seed, keep_results):
+    try:
+        slots = np.empty(shots, dtype=object) if keep_results else None
+    except (ValueError, OverflowError):  # numpy refuses 2**60 or more slots before allocating
+        raise MemoryError(f"cannot keep {shots} shot results") from None
+    for (shot, key), count, index in _leaf_groups(program, shots, seed, keep_results):
         counts[key] = counts.get(key, 0) + count
         if keep_results:
             slots[index] = shot
-    stats = ShotStatistics(shots, seed, counts, tuple(slots.tolist()) if keep_results else None)
-    if "none" in counts and not keep_results:  # no step measures: the tree is the root and its children, if any
-        object.__setattr__(stats, "_tree", tree)
-    return stats
-
-
-def _shot_zero(stats: ShotStatistics) -> ShotResult:
-    """Shot 0's result of a measurement-free counts-only `run`, walked down the tree that run kept (the
-    root, or a random-sign root and its two stored children): only a random sign derives shot 0's stream."""
-    drawn = isinstance(stats._tree.root, _Node)
-    return stats._tree.walk(derive_rng(stats.seed, 0) if drawn else None)[0]
+    return ShotStatistics(shots, seed, counts, tuple(slots.tolist()) if keep_results else None)

@@ -748,6 +748,14 @@ class TestEntryPoint:
         assert traced.stdout == "" and "Traceback" not in traced.stderr
         assert traced.stderr == warning + "bellkit: out of memory: --trace keeps every shot's result; run fewer --shots\n"
 
+    @pytest.mark.parametrize("shots", [2**60, 2**64])
+    def test_a_trace_numpy_cannot_size_is_one_diagnostic(self, tmp_path, capsys, shots):
+        # numpy refuses these sizes before it allocates anything: no address-space limit is needed.
+        path = write(tmp_path, "deterministic.bk", DETERMINISTIC)
+        code, out, err = invoke(capsys, ["run", path, "--trace", "--shots", str(shots)])
+        assert (code, out) == (1, "")
+        assert err == "bellkit: out of memory: --trace keeps every shot's result; run fewer --shots\n"
+
     def test_a_closed_stdout_pipe_ends_the_run_quietly(self):
         # The report is megabytes, far past a pipe's buffer: the writer meets the closed pipe mid-print.
         sample = Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk"

@@ -1,5 +1,6 @@
 """Measurement collapse rules, the randomness contract, and run aggregation."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -285,6 +286,18 @@ class TestRun:
             run(own, shots=5)
         with pytest.raises(engine.InvalidProgram, match="shots must be >= 1, got 0"):
             run_shot(own, ScriptedStream([]))
+
+    @pytest.mark.parametrize("shots", [2**60, 2**63, 2**64])
+    def test_results_numpy_cannot_size_are_a_memory_error(self, shots):
+        with pytest.raises(MemoryError, match=f"cannot keep {shots} shot results"):
+            run(program(BasisPreparation(index=0), MeasureValue(particle="A")), shots=shots, keep_results=True)
+
+    def test_a_result_holds_only_its_fields(self):
+        for prep in (BasisPreparation(index=1), BellRandomSignPreparation(bell_class="psi", s0=0.3)):
+            for shots in (1, 17):
+                stats = run(program(prep), shots=shots, seed=3)
+                assert stats.counts == {"none": shots}
+                assert set(vars(stats)) == {f.name for f in dataclasses.fields(stats)}
 
     @pytest.mark.parametrize(
         "overrides",
