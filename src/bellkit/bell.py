@@ -14,7 +14,6 @@ separable exactly when the 2x2 coefficient matrix has zero determinant;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .core import (
@@ -22,7 +21,9 @@ from .core import (
     INV_SQRT2,
     SingleQubitState,
     TwoQubitState,
+    _Value,
     _require_normalized,
+    _set,
     basis_state,
     tensor,
 )
@@ -47,23 +48,20 @@ BellClass = Literal["phi", "psi"]
 BellSign = Literal[1, -1]
 
 
-@dataclass(frozen=True)
-class BellDescriptor:
+class BellDescriptor(_Value):
     """Which Bell branch: class phi/psi, relative sign, and weight s0."""
 
-    bell_class: BellClass
-    sign: BellSign
-    s0: float = INV_SQRT2
-
-    def __post_init__(self) -> None:
-        if self.bell_class not in ("phi", "psi"):
-            raise ValueError(f"bell_class must be 'phi' or 'psi', got {self.bell_class!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        s0 = float(self.s0)
-        if not (math.isfinite(s0) and 0.0 <= s0 <= 1.0):
-            raise ValueError(f"s0 must lie in [0, 1], got {self.s0!r}")
-        object.__setattr__(self, "s0", s0)
+    def __init__(self, bell_class: BellClass, sign: BellSign, s0: float = INV_SQRT2) -> None:
+        if bell_class not in ("phi", "psi"):
+            raise ValueError(f"bell_class must be 'phi' or 'psi', got {bell_class!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        weight = float(s0)
+        if not (math.isfinite(weight) and 0.0 <= weight <= 1.0):
+            raise ValueError(f"s0 must lie in [0, 1], got {s0!r}")
+        _set(self, "bell_class", bell_class)
+        _set(self, "sign", sign)
+        _set(self, "s0", weight)
 
 
 def bell_state(descriptor: BellDescriptor) -> TwoQubitState:
@@ -117,8 +115,7 @@ def factorize(s: TwoQubitState) -> Optional[tuple[SingleQubitState, SingleQubitS
     )
 
 
-@dataclass(frozen=True)
-class StateClassification:
+class StateClassification(_Value):
     """Tagged result of `classify`.
 
     kind "basis":   basis_index set; phase * |basis_index> rebuilds the input.
@@ -127,11 +124,16 @@ class StateClassification:
     kind "general": no payload; phase is fixed at 1 and carries no meaning.
     """
 
-    kind: Literal["basis", "bell", "product", "general"]
-    phase: complex = 1 + 0j
-    basis_index: Optional[int] = None
-    bell: Optional[BellDescriptor] = None
-    factors: Optional[tuple[SingleQubitState, SingleQubitState]] = None
+    def __init__(
+        self, kind: Literal["basis", "bell", "product", "general"], phase: complex = 1 + 0j,
+        basis_index: Optional[int] = None, bell: Optional[BellDescriptor] = None,
+        factors: Optional[tuple[SingleQubitState, SingleQubitState]] = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "phase", phase)
+        _set(self, "basis_index", basis_index)
+        _set(self, "bell", bell)
+        _set(self, "factors", factors)
 
     def reconstruct(self) -> TwoQubitState:
         """Rebuild the classified state; raises on kind 'general'."""
@@ -170,9 +172,7 @@ def classify(s: TwoQubitState) -> StateClassification:
         if abs(abs(g) - 1.0) <= EPS_CLASS and all(
             abs(h) <= EPS_CLASS for j, h in enumerate(amps) if j != index
         ):
-            return StateClassification(
-                kind="basis", phase=_unit_phase(g), basis_index=index
-            )
+            return StateClassification("basis", _unit_phase(g), index)
 
     # Bell family: support on exactly {g00, g11} or {g01, g10}, with a
     # relative phase of +-1 once the global phase is removed.
@@ -190,18 +190,12 @@ def classify(s: TwoQubitState) -> StateClassification:
         else:
             break  # complex relative phase: not in the (real-signed) family
         s0 = abs(s.g00) if bell_class == "phi" else abs(s.g10)
-        return StateClassification(
-            kind="bell",
-            phase=_unit_phase(lead),
-            bell=BellDescriptor(bell_class=bell_class, sign=sign, s0=min(s0, 1.0)),
-        )
+        return StateClassification("bell", _unit_phase(lead), bell=BellDescriptor(bell_class, sign, min(s0, 1.0)))
 
     factors = factorize(s)
     if factors is not None:
         phase_a, a = _strip_leading_phase(factors[0])
         phase_b, b = _strip_leading_phase(factors[1])
-        return StateClassification(
-            kind="product", phase=phase_a * phase_b, factors=(a, b)
-        )
+        return StateClassification("product", phase_a * phase_b, factors=(a, b))
 
     return StateClassification(kind="general")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,11 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(core._Value):
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        core._set(self, "name", name)
+        core._set(self, "passed", passed)
+        core._set(self, "detail", detail)
 
 
 # Batched draws.  Each helper turns a block of standard normal draws, whose

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -44,6 +43,8 @@ from .core import (
     TwoQubitState,
     _reim_text,
     _require_type,
+    _set,
+    _Value,
     format_real,
     state_text,
 )
@@ -81,94 +82,97 @@ _TOKEN_RE = re.compile(r"\S+")
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _REAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
-# Source position (line, column), both 1-based; excluded from equality so
-# that parse(format_program(p)) == p holds regardless of layout.
-_POS = dict(default=(1, 1), compare=False, repr=False)
+
+class _Positioned(_Value):
+    """A value with source positions, 1-based (line, column), that take no part in ==, hash
+    or repr, so that parse(format_program(p)) == p holds regardless of layout."""
+
+    _hidden = ("source_pos", "shots_pos", "seed_pos")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    column: int
-    severity: str  # "error" | "warning"
-    message: str
+class Diagnostic(_Value):
+    def __init__(self, line: int, column: int, severity: str, message: str) -> None:
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "severity", severity)  # "error" | "warning"
+        _set(self, "message", message)
 
     def render(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class BasisPreparation:
-    index: int  # 0..3, basis order |00>, |01>, |10>, |11>
-    source_pos: tuple[int, int] = field(**_POS)
+class BasisPreparation(_Positioned):
+    def __init__(self, index: int, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "index", index)  # 0..3, basis order |00>, |01>, |10>, |11>
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class BellPreparation:
-    descriptor: BellDescriptor
-    source_pos: tuple[int, int] = field(**_POS)
+class BellPreparation(_Positioned):
+    def __init__(self, descriptor: BellDescriptor, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "descriptor", descriptor)
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class BellRandomSignPreparation:
-    bell_class: BellClass
-    s0: float = DEFAULT_S0
-    source_pos: tuple[int, int] = field(**_POS)
+class BellRandomSignPreparation(_Positioned):
+    def __init__(self, bell_class: BellClass, s0: float = DEFAULT_S0, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "bell_class", bell_class)
+        _set(self, "s0", s0)
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class RawPreparation:
-    state: TwoQubitState
-    source_pos: tuple[int, int] = field(**_POS)
+class RawPreparation(_Positioned):
+    def __init__(self, state: TwoQubitState, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "state", state)
+        _set(self, "source_pos", source_pos)
 
 
 Preparation = Union[BasisPreparation, BellPreparation, BellRandomSignPreparation, RawPreparation]
 
 
-@dataclass(frozen=True)
-class ApplyNamed:
-    name: str  # one of OPERATOR_NAMES
-    particle: Particle
-    source_pos: tuple[int, int] = field(**_POS)
+class ApplyNamed(_Positioned):
+    def __init__(self, name: str, particle: Particle, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "name", name)  # one of OPERATOR_NAMES
+        _set(self, "particle", particle)
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class ApplyBellOperator:
-    source_pos: tuple[int, int] = field(**_POS)
+class ApplyBellOperator(_Positioned):
+    def __init__(self, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class ApplyRaw:
-    particle: Particle
-    operator: SingleQubitOperator
-    source_pos: tuple[int, int] = field(**_POS)
+class ApplyRaw(_Positioned):
+    def __init__(self, particle: Particle, operator: SingleQubitOperator, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "particle", particle)
+        _set(self, "operator", operator)
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class MeasureRelative:
-    source_pos: tuple[int, int] = field(**_POS)
+class MeasureRelative(_Positioned):
+    def __init__(self, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "source_pos", source_pos)
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    particle: Particle
-    source_pos: tuple[int, int] = field(**_POS)
+class MeasureValue(_Positioned):
+    def __init__(self, particle: Particle, source_pos: tuple[int, int] = (1, 1)) -> None:
+        _set(self, "particle", particle)
+        _set(self, "source_pos", source_pos)
 
 
 Step = Union[ApplyNamed, ApplyBellOperator, ApplyRaw, MeasureRelative, MeasureValue]
 
 
-@dataclass(frozen=True)
-class CircuitProgram:
-    preparation: Preparation
-    steps: tuple[Step, ...] = ()
-    shots: int = DEFAULT_SHOTS
-    seed: int = DEFAULT_SEED
-    shots_pos: tuple[int, int] = field(**_POS)
-    seed_pos: tuple[int, int] = field(**_POS)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+class CircuitProgram(_Positioned):
+    def __init__(
+        self, preparation: Preparation, steps: tuple[Step, ...] = (), shots: int = DEFAULT_SHOTS,
+        seed: int = DEFAULT_SEED, shots_pos: tuple[int, int] = (1, 1), seed_pos: tuple[int, int] = (1, 1),
+    ) -> None:
+        _set(self, "preparation", preparation)
+        _set(self, "steps", tuple(steps))
+        _set(self, "shots", shots)
+        _set(self, "seed", seed)
+        _set(self, "shots_pos", shots_pos)
+        _set(self, "seed_pos", seed_pos)
 
 
 def ascii_integer(text: str) -> Optional[int]:
@@ -356,17 +360,7 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
         raise RuntimeError("parse found no preparation and reported no error")
     shots, shots_pos = once.get("shots", (DEFAULT_SHOTS, (1, 1)))
     seed, seed_pos = once.get("seed", (DEFAULT_SEED, (1, 1)))
-    return (
-        CircuitProgram(
-            preparation=once["prepare"][0],  # type: ignore[arg-type]
-            steps=tuple(steps),
-            shots=shots,  # type: ignore[arg-type]
-            seed=seed,  # type: ignore[arg-type]
-            shots_pos=shots_pos,
-            seed_pos=seed_pos,
-        ),
-        [],
-    )
+    return CircuitProgram(once["prepare"][0], tuple(steps), shots, seed, shots_pos, seed_pos), []  # type: ignore
 
 
 def validate(program: CircuitProgram) -> list[Diagnostic]:
@@ -381,40 +375,22 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     prep = program.preparation
     if isinstance(prep, RawPreparation) and prep.state.subnormalized:
-        line, column = prep.source_pos
-        diags.append(
-            Diagnostic(
-                line, column, "error",
-                f"raw preparation is not normalized (norm {format_real(prep.state.norm())}, tolerance {EPS_NORM:g})",
-            )
-        )
+        message = f"raw preparation is not normalized (norm {format_real(prep.state.norm())}, tolerance {EPS_NORM:g})"
+        diags.append(Diagnostic(*prep.source_pos, "error", message))
     for step in program.steps:
         if isinstance(step, ApplyRaw) and not step.operator.is_unitary(EPS_OP):
-            line, column = step.source_pos
-            diags.append(
-                Diagnostic(
-                    line, column, "error",
-                    f"raw operator is not unitary (tolerance {EPS_OP:g})",
-                )
-            )
+            diags.append(Diagnostic(*step.source_pos, "error", f"raw operator is not unitary (tolerance {EPS_OP:g})"))
     if program.shots < 1:
-        line, column = program.shots_pos
-        diags.append(Diagnostic(line, column, "error", f"shots must be >= 1, got {program.shots}"))
+        diags.append(Diagnostic(*program.shots_pos, "error", f"shots must be >= 1, got {program.shots}"))
 
     if not any(isinstance(step, (MeasureRelative, MeasureValue)) for step in program.steps):
-        line, column = prep.source_pos
-        diags.append(Diagnostic(line, column, "warning", "program contains no measurements"))
+        diags.append(Diagnostic(*prep.source_pos, "warning", "program contains no measurements"))
     measured: set[str] = set()
     fully_measured = False
     for step in program.steps:
         if fully_measured:
-            line, column = step.source_pos
-            diags.append(
-                Diagnostic(
-                    line, column, "warning",
-                    "operation after value measurements on both particles; the state is fully determined",
-                )
-            )
+            message = "operation after value measurements on both particles; the state is fully determined"
+            diags.append(Diagnostic(*step.source_pos, "warning", message))
         if isinstance(step, MeasureValue):
             measured.add(step.particle)
             fully_measured = len(measured) == 2

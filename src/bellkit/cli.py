@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Optional
@@ -196,11 +195,12 @@ def _state_json(s: TwoQubitState, indent: str) -> str:
 
 
 def _record_json(record) -> str:
-    outcome = json.dumps(record.outcome.value) if isinstance(record.outcome, RelativeBit) else repr(record.outcome)
-    particle = "null" if record.particle is None else json.dumps(record.particle)
+    # kind, particle and a RelativeBit's value are plain ASCII words: quoted, they are what json.dumps writes.
+    outcome = f'"{record.outcome.value}"' if isinstance(record.outcome, RelativeBit) else repr(record.outcome)
+    particle = "null" if record.particle is None else f'"{record.particle}"'
     return (
         "{\n"
-        f'          "kind": {json.dumps(record.kind)},\n'
+        f'          "kind": "{record.kind}",\n'
         f'          "outcome": {outcome},\n'
         f'          "particle": {particle},\n'
         f'          "post_state": {_state_json(record.post_state, "          ")},\n'
@@ -264,6 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.trace:
             print(stats.to_json())
             return 0
+        import json  # only JSON output loads it
         report = json.dumps({**stats.to_payload(), "trace": None}, indent=2, sort_keys=True)
         before, _, after = report.rpartition('"trace": null')
         _write_trace(f'{before}"trace": [\n    ', stats.results, _shot_json, ",\n    ", f"\n  ]{after}\n")
@@ -322,10 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         state = bell_state(descriptor)
         defect = separability_defect(state)
         p0 = s0 * s0 if args.bell_class == "phi" else 1.0 - s0 * s0
-        program = CircuitProgram(
-            preparation=BellPreparation(descriptor=descriptor),
-            steps=(MeasureValue(particle="A"),),
-        )
+        program = CircuitProgram(BellPreparation(descriptor), (MeasureValue("A"),))
         stats = run(program, shots=args.shots, seed=(args.seed + index) % (MAX_SEED + 1))
         empirical = stats.frequencies.get("A=0", 0.0)
         print(f"{format_real(s0)},{format_real(defect)},{format_real(p0)},{format_real(empirical)}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from operator import attrgetter
 from typing import Literal, Union
 
 import numpy as np
@@ -81,16 +82,54 @@ def _norm(g00: complex, g01: complex, g10: complex, g11: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class SingleQubitState:
+_set = object.__setattr__  # a value class's __init__ sets each field once with it, past __setattr__
+
+
+class _ValueType(type):
+    """Gives a value class the `__slots__` that its `__init__`'s parameters name, in order."""
+
+    def __new__(mcs, name: str, bases: tuple, namespace: dict):
+        init = namespace.get("__init__")
+        fields = init.__code__.co_varnames[1 : init.__code__.co_argcount] if init else ()
+        cls = super().__new__(mcs, name, bases, {**namespace, "__slots__": fields})
+        cls.__match_args__, cls._shown = fields, tuple(f for f in fields if f not in cls._hidden)
+        cls._key = attrgetter("__class__", *cls._shown)  # with the class, a tuple however few are shown
+        return cls
+
+
+class _Value(metaclass=_ValueType):
+    """Base of the frozen value classes that are not dataclasses.  The parameters of a subclass's
+    `__init__` are its fields, each set once with `_set`.  As a frozen dataclass's do, ==, hash and
+    repr use the fields that `_hidden` does not name, and assignment raises FrozenInstanceError."""
+
+    _hidden: tuple[str, ...] = ()
+
+    def __eq__(self, other: object):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._shown)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild a value through its __init__
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class SingleQubitState(_Value):
     """Amplitudes (amp0, amp1) over the one-particle basis |0>, |1>."""
 
-    amp0: complex
-    amp1: complex
-
-    def __post_init__(self) -> None:
-        a0, a1 = self.amp0, self.amp1
-        if not (type(a0) is complex and type(a1) is complex and cmath.isfinite(a0) and cmath.isfinite(a1)):
+    def __init__(self, amp0: complex, amp1: complex) -> None:
+        _set(self, "amp0", amp0)
+        _set(self, "amp1", amp1)
+        if not (type(amp0) is complex and type(amp1) is complex and cmath.isfinite(amp0) and cmath.isfinite(amp1)):
             _store_amplitudes(self, ("amp0", "amp1"))
 
     @property

@@ -35,7 +35,6 @@ they never sample a program that `validate` rejects.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -65,9 +64,11 @@ from .core import (
     Particle,
     TwoQubitOperator,
     TwoQubitState,
+    _Value,
     _norm,
     _require_normalized,
     _require_type,
+    _set,
     apply2,
     basis_state,
     bell_operator,
@@ -124,24 +125,23 @@ class RelativeBit(enum.Enum):
 _RELATIVE_BITS = (RelativeBit.SAME, RelativeBit.DIFFERENT)
 
 
-@dataclass(frozen=True)
-class RelativeBitResult:
+class RelativeBitResult(_Value):
     """Outcome of the relative-value question.
 
     `bit` is None when the state has weight on both diagonals (indeterminate);
     `p_same` always carries |g00|^2 + |g11|^2.
     """
 
-    bit: Optional[RelativeBit]
-    p_same: float
+    def __init__(self, bit: Optional[RelativeBit], p_same: float) -> None:
+        _set(self, "bit", bit)
+        _set(self, "p_same", p_same)
 
     @property
     def determinate(self) -> bool:
         return self.bit is not None
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(_Value):
     """One measurement event inside a shot.
 
     step_index is the 0-based position in the program's step list.
@@ -149,19 +149,23 @@ class MeasurementRecord:
     (1.0 on a deterministic relative branch, where the state is untouched).
     """
 
-    step_index: int
-    kind: str  # "relative" | "value"
-    particle: Optional[Particle]
-    outcome: Union[RelativeBit, int]
-    probability: float
-    projected_norm: float
-    post_state: TwoQubitState
+    def __init__(
+        self, step_index: int, kind: str, particle: Optional[Particle], outcome: Union[RelativeBit, int],
+        probability: float, projected_norm: float, post_state: TwoQubitState,
+    ) -> None:
+        _set(self, "step_index", step_index)
+        _set(self, "kind", kind)  # "relative" | "value"
+        _set(self, "particle", particle)
+        _set(self, "outcome", outcome)
+        _set(self, "probability", probability)
+        _set(self, "projected_norm", projected_norm)
+        _set(self, "post_state", post_state)
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    records: tuple[MeasurementRecord, ...]
-    final_state: TwoQubitState
+class ShotResult(_Value):
+    def __init__(self, records: tuple[MeasurementRecord, ...], final_state: TwoQubitState) -> None:
+        _set(self, "records", records)
+        _set(self, "final_state", final_state)
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,7 @@ class ShotStatistics:
         }
 
     def to_json(self) -> str:
+        import json  # only JSON output loads it
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
@@ -240,15 +245,7 @@ def measure_relative(
             projected = TwoQubitState(0j, s.g01, s.g10, 0j)
         projected_norm = projected.norm()
         post = normalize(projected)
-    record = MeasurementRecord(
-        step_index=step_index,
-        kind="relative",
-        particle=None,
-        outcome=_RELATIVE_BITS[outcome],
-        probability=probability,
-        projected_norm=projected_norm,
-        post_state=post,
-    )
+    record = MeasurementRecord(step_index, "relative", None, _RELATIVE_BITS[outcome], probability, projected_norm, post)
     return record, post
 
 
@@ -279,15 +276,7 @@ def measure_value(
     defect = separability_defect(post)
     if defect > EPS_SEP:
         raise ArithmeticError(f"post-measurement state is not a product state (defect {defect:.3g})")
-    record = MeasurementRecord(
-        step_index=step_index,
-        kind="value",
-        particle=particle,
-        outcome=outcome,
-        probability=probability,
-        projected_norm=projected_norm,
-        post_state=post,
-    )
+    record = MeasurementRecord(step_index, "value", particle, outcome, probability, projected_norm, post)
     return record, post
 
 
@@ -308,19 +297,23 @@ class InvalidProgram(ValueError):
         self.diagnostics = tuple(diagnostics)
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(_Value):
     """A program that `validate` accepts, its warnings, and its preparation and steps resolved:
     `prepared` is the prepared state, or a random sign's states of sign + and -, of which a draw
     takes one, and `actions` holds per step ("apply", lifted operator) or ("measure", step
     index, particle or None for a relative measurement)."""
 
-    program: CircuitProgram
-    warnings: tuple[Diagnostic, ...]
-    prepared: tuple[TwoQubitState, ...]
-    actions: tuple[tuple, ...]
     shots = property(lambda self: self.program.shots)
     seed = property(lambda self: self.program.seed)
+
+    def __init__(
+        self, program: CircuitProgram, warnings: tuple[Diagnostic, ...], prepared: tuple[TwoQubitState, ...],
+        actions: tuple[tuple, ...],
+    ) -> None:
+        _set(self, "program", program)
+        _set(self, "warnings", warnings)
+        _set(self, "prepared", prepared)
+        _set(self, "actions", actions)
 
 
 def compile(program: Union[CircuitProgram, CompiledProgram]) -> CompiledProgram:

@@ -687,6 +687,33 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_only_json_output_imports_json(self, capsys):
+        # Loading json costs start-up time that no text report needs; a later JSON report still loads it.
+        programs = Path(__file__).resolve().parents[1] / "programs"
+        argvs = [["run", str(programs / name), *flags] for name in ("pipeline.bk", "skewed_weight.bk")
+                 for flags in ((), ("--trace", "--shots", "5"))]
+        json_argvs = [[*argv, "--format", "json"] for argv in argvs]
+        code = (
+            "import sys, numpy\n"
+            "if 'json' in sys.modules:\n"
+            "    raise SystemExit(99)\n"
+            "from bellkit import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    cli.main(argv)\n"
+            "print('json loaded:', 'json' in sys.modules)\n"
+            f"for argv in {json_argvs!r}:\n"
+            "    cli.main(argv)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        if done.returncode == 99:
+            pytest.skip("this numpy loads json itself")
+        assert done.returncode == 0, done.stderr
+        expected = []
+        for argv in [*argvs, None, *json_argvs]:
+            expected.append("json loaded: False\n" if argv is None else invoke(capsys, argv)[1])
+        assert done.stdout == "".join(expected)
+
     def test_optimized_interpreter_prints_the_same_bytes(self):
         # -O strips asserts: the invariant checks on the run and trace paths must not rely on them.
         sample = Path(__file__).resolve().parents[1] / "programs" / "correlated_values.bk"

@@ -6,13 +6,15 @@ Kronecker products.
 """
 
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from bellkit import core, engine
+from bellkit import bell, checks, circuit, cli, core, engine
 from bellkit.checks import random_operator, random_single_qubit_state, random_unitary
 
 INV = math.sqrt(0.5)
@@ -296,6 +298,11 @@ def _reference_norm(s: core.TwoQubitState) -> float:
     return math.sqrt(abs(s.g00) ** 2 + abs(s.g01) ** 2 + abs(s.g10) ** 2 + abs(s.g11) ** 2)
 
 
+def _stored(s) -> tuple:
+    """The amplitude fields a state stores: a TwoQubitState's are its dataclass fields up to `subnormalized`."""
+    return dataclasses.astuple(s)[:4] if isinstance(s, core.TwoQubitState) else (s.amp0, s.amp1)
+
+
 class TestConstructorContract:
     """What every state and operator constructor accepts, stores and rejects."""
 
@@ -317,7 +324,7 @@ class TestConstructorContract:
     def test_numbers_are_stored_as_python_complex(self, cls, width):
         for value in (1, 0.5, -0.0, np.float64(0.25), np.complex128(0.5 - 0.5j), np.int64(1), 0.5j):
             s = cls(*([value] * width))
-            for stored in dataclasses.astuple(s)[:width]:
+            for stored in _stored(s):
                 assert type(stored) is complex
                 assert stored == complex(value)
                 assert math.copysign(1.0, stored.real) == math.copysign(1.0, complex(value).real)
@@ -405,7 +412,7 @@ class TestKernelsBitExact:
             v = _planted_matrix(rng, (1, 4)).ravel()
             for s, width in ((core.TwoQubitState.from_vector(v), 4), (core.SingleQubitState.from_vector(v[:2]), 2)):
                 reference = [complex(v[i]) for i in range(width)]
-                stored = dataclasses.astuple(s)[:width]
+                stored = _stored(s)
                 assert all(type(z) is complex for z in stored)
                 assert np.array(stored).tobytes() == np.array(reference).tobytes()
 
@@ -422,3 +429,297 @@ class TestOperatorHash:
     def test_unequal_operators_still_differ(self):
         assert core.named_operator("flip") != core.named_operator("t_minus")
         assert len({core.named_operator(name) for name in core.OPERATOR_NAMES}) == 3
+
+
+# Reference copies of the value classes that are not dataclasses, as frozen dataclasses, with
+# their former __post_init__ behaviour.  Each has its class's name, so that the reprs compare.
+_POS = dict(default=(1, 1), compare=False, repr=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class SingleQubitState:
+    amp0: complex
+    amp1: complex
+
+    def __post_init__(self):
+        for name in ("amp0", "amp1"):
+            z = complex(getattr(self, name))
+            if not cmath.isfinite(z):
+                raise ValueError(f"{name} must be finite, got {z!r}")
+            object.__setattr__(self, name, z)
+
+
+@dataclasses.dataclass(frozen=True)
+class BellDescriptor:
+    bell_class: str
+    sign: int
+    s0: float = INV
+
+    def __post_init__(self):
+        if self.bell_class not in ("phi", "psi"):
+            raise ValueError(f"bell_class must be 'phi' or 'psi', got {self.bell_class!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        s0 = float(self.s0)
+        if not (math.isfinite(s0) and 0.0 <= s0 <= 1.0):
+            raise ValueError(f"s0 must lie in [0, 1], got {self.s0!r}")
+        object.__setattr__(self, "s0", s0)
+
+
+@dataclasses.dataclass(frozen=True)
+class StateClassification:
+    kind: str
+    phase: complex = 1 + 0j
+    basis_index: object = None
+    bell: object = None
+    factors: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Diagnostic:
+    line: int
+    column: int
+    severity: str
+    message: str
+
+
+@dataclasses.dataclass(frozen=True)
+class BasisPreparation:
+    index: int
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class BellPreparation:
+    descriptor: object
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class BellRandomSignPreparation:
+    bell_class: str
+    s0: float = INV
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class RawPreparation:
+    state: object
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class ApplyNamed:
+    name: str
+    particle: str
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class ApplyBellOperator:
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class ApplyRaw:
+    particle: str
+    operator: object
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class MeasureRelative:
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class MeasureValue:
+    particle: str
+    source_pos: tuple = dataclasses.field(**_POS)
+
+
+@dataclasses.dataclass(frozen=True)
+class CircuitProgram:
+    preparation: object
+    steps: tuple = ()
+    shots: int = 1024
+    seed: int = 0
+    shots_pos: tuple = dataclasses.field(**_POS)
+    seed_pos: tuple = dataclasses.field(**_POS)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+
+
+@dataclasses.dataclass(frozen=True)
+class RelativeBitResult:
+    bit: object
+    p_same: float
+
+
+@dataclasses.dataclass(frozen=True)
+class MeasurementRecord:
+    step_index: int
+    kind: str
+    particle: object
+    outcome: object
+    probability: float
+    projected_norm: float
+    post_state: object
+
+
+@dataclasses.dataclass(frozen=True)
+class ShotResult:
+    records: tuple
+    final_state: object
+
+
+@dataclasses.dataclass(frozen=True)
+class CompiledProgram:
+    program: object
+    warnings: tuple
+    prepared: tuple
+    actions: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def _value_samples() -> list:
+    """(bellkit class, its reference, two argument tuples that differ in a compared field)."""
+    s = core.TwoQubitState(0.6, 0, 0, 0.8j)
+    t = core.basis_state(2)
+    flip, t_minus = core.named_operator("flip"), core.named_operator("t_minus")
+    phi, psi = bell.BellDescriptor("phi", 1), bell.BellDescriptor("psi", -1, 0.25)
+    a, b = circuit.BasisPreparation(1), circuit.MeasureValue("B")
+    program = circuit.CircuitProgram(a, (b,), 9, 4)
+    same = engine.RelativeBit.SAME
+    record = engine.MeasurementRecord(0, "relative", None, same, 1.0, 1.0, s)
+    pairs = {
+        core.SingleQubitState: ((0.6, 0.8j), (0.8j, 0.6)),
+        bell.BellDescriptor: (("phi", 1, 0.5), ("phi", -1, 0.5)),
+        bell.StateClassification: (("basis", 1j, 2), ("bell", 1 + 0j, None, phi)),
+        circuit.Diagnostic: ((3, 5, "error", "unknown keyword"), (3, 5, "warning", "unknown keyword")),
+        circuit.BasisPreparation: ((0,), (3,)),
+        circuit.BellPreparation: ((phi,), (psi,)),
+        circuit.BellRandomSignPreparation: (("phi",), ("psi", 0.25)),
+        circuit.RawPreparation: ((s,), (t,)),
+        circuit.ApplyNamed: (("flip", "A"), ("flip", "B")),
+        circuit.ApplyBellOperator: ((), None),
+        circuit.ApplyRaw: (("A", flip), ("A", t_minus)),
+        circuit.MeasureRelative: ((), None),
+        circuit.MeasureValue: (("A",), ("B",)),
+        circuit.CircuitProgram: ((a, (b,), 9, 4), (a, (b, b), 9, 4)),
+        engine.RelativeBitResult: ((same, 1.0), (None, 0.5)),
+        engine.MeasurementRecord: ((0, "relative", None, same, 1.0, 1.0, s), (0, "value", "A", 0, 0.36, 0.6, t)),
+        engine.ShotResult: (((record,), s), ((), s)),
+        engine.CompiledProgram: ((program, (), (t,), ()), (program, (), (t, s), ())),
+        checks.CheckResult: (("statistics", True), ("statistics", False, "off by 5 sigma")),
+    }
+    return [(cls, globals()[cls.__name__], *args) for cls, args in pairs.items()]
+
+
+_VALUE_SAMPLES = _value_samples()
+
+
+def _all_fields(value) -> tuple:
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(globals()[type(value).__name__]))
+
+
+class TestValueClasses:
+    """The value classes that are not dataclasses behave as their frozen-dataclass references."""
+
+    @pytest.mark.parametrize("cls, ref, a, b", _VALUE_SAMPLES, ids=lambda x: getattr(x, "__name__", None))
+    def test_repr_equality_and_hash(self, cls, ref, a, b):
+        for args in (a, b) if b is not None else (a,):
+            value, same = cls(*args), cls(*args)
+            assert repr(value) == repr(ref(*args))
+            assert value == same and not value != same and hash(value) == hash(same)
+            assert value != ref(*args) and value.__eq__(ref(*args)) is NotImplemented
+        if b is not None:
+            assert cls(*a) != cls(*b) and not cls(*a) == cls(*b) and hash(cls(*a)) != hash(cls(*b))
+            assert ref(*a) != ref(*b)
+
+    @pytest.mark.parametrize("cls, ref, a, b", _VALUE_SAMPLES, ids=lambda x: getattr(x, "__name__", None))
+    def test_positions_take_no_part(self, cls, ref, a, b):
+        positions = [f.name for f in dataclasses.fields(ref) if f.name.endswith("_pos")]
+        assert set(positions) == set(cls._hidden) & set(cls.__match_args__)
+        moved = cls(*a, **{name: (7, 9) for name in positions})
+        assert [getattr(moved, name) for name in positions] == [(7, 9)] * len(positions)
+        assert moved == cls(*a) and hash(moved) == hash(cls(*a)) and repr(moved) == repr(cls(*a))
+
+    @pytest.mark.parametrize("cls, ref, a, b", _VALUE_SAMPLES, ids=lambda x: getattr(x, "__name__", None))
+    def test_construction(self, cls, ref, a, b):
+        fields = dataclasses.fields(ref)
+        assert cls.__match_args__ == ref.__match_args__ == tuple(f.name for f in fields)
+        full = _all_fields(ref(*a))
+        assert _all_fields(cls(*full)) == full
+        assert _all_fields(cls(**dict(zip(cls.__match_args__, full)))) == full
+        required = [f for f in fields if f.default is dataclasses.MISSING]
+        assert _all_fields(cls(*a[: len(required)])) == _all_fields(ref(*a[: len(required)]))
+        if required:
+            with pytest.raises(TypeError):
+                cls(*a[: len(required) - 1])
+        with pytest.raises(TypeError):
+            cls(*full, None)
+        with pytest.raises(TypeError):
+            cls(*a, unexpected=None)
+
+    @pytest.mark.parametrize("cls, ref, a, b", _VALUE_SAMPLES, ids=lambda x: getattr(x, "__name__", None))
+    def test_frozen(self, cls, ref, a, b):
+        value = cls(*a)
+        for name in [*cls.__match_args__, "other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
+        assert _all_fields(value) == _all_fields(cls(*a)) and not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("cls, ref, a, b", _VALUE_SAMPLES, ids=lambda x: getattr(x, "__name__", None))
+    def test_copy_and_pickle(self, cls, ref, a, b):
+        moved = {name: (7, 9) for name in cls._hidden if name in cls.__match_args__}
+        value, reference = cls(*a, **moved), ref(*a, **moved)
+        for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            try:
+                round_trip(reference)
+            except AttributeError as exc:  # a field the reference cannot copy either (an operator)
+                with pytest.raises(type(exc)):
+                    round_trip(value)
+                continue
+            copied = round_trip(value)
+            assert type(copied) is cls and copied == value and _all_fields(copied) == _all_fields(value)
+
+    def test_init_keeps_the_former_post_init(self):
+        for args in (("chi", 1), ("phi", 0), ("phi", True, 2.0), ("psi", -1, float("nan")), ("psi", 1, -0.5)):
+            with pytest.raises(ValueError) as expected:
+                BellDescriptor(*args)
+            with pytest.raises(ValueError) as got:
+                bell.BellDescriptor(*args)
+            assert str(got.value) == str(expected.value)
+        assert repr(bell.BellDescriptor("phi", 1, np.float64(0.25))) == repr(BellDescriptor("phi", 1, np.float64(0.25)))
+        assert type(bell.BellDescriptor("psi", -1, 1).s0) is float
+        nan, inf = float("nan"), float("inf")
+        for args in ((1, 0), (np.float64(0.6), np.int64(0)), (-0.0, 0.5j), (inf, 0), (0, complex(0, nan))):
+            try:
+                expected = _all_fields(SingleQubitState(*args))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    core.SingleQubitState(*args)
+                assert str(got.value) == str(exc)
+                continue
+            got = _all_fields(core.SingleQubitState(*args))
+            assert [type(z) for z in got] == [complex, complex] and repr(got) == repr(expected)
+        steps = [circuit.MeasureRelative(), circuit.MeasureValue("A")]
+        assert circuit.CircuitProgram(circuit.BasisPreparation(0), steps).steps == tuple(steps)
+
+    def test_only_two_classes_are_dataclasses(self):
+        classes = {value for module in (core, bell, circuit, engine, checks, cli) for value in vars(module).values()
+                   if isinstance(value, type) and value.__module__.startswith("bellkit")}
+        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {core.TwoQubitState, engine.ShotStatistics}
+        converted = {cls for cls, *_ in _VALUE_SAMPLES}
+        assert converted == {cls for cls in classes if issubclass(cls, core._Value) and "__init__" in vars(cls)}
