@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage error or a --trace run out of memory, 2 parse/val
 failure of a program file, 3 self-test failure (demo or check), 130 interrupted.  All
 report output is plain text, JSON, or CSV on stdout; diagnostics and errors go to stderr.
 Output depends only on the arguments, so identical invocations produce identical bytes.
+
+A canonical command line (a subcommand, its positionals, and options by exact name, each a flag or
+followed by one value not starting with "-") is read from the parser's own flag table into the
+namespace parse_args would return; every other line, help and usage errors included, goes to argparse.
 """
 
 from __future__ import annotations
@@ -100,7 +104,62 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=_seed_value, default=0)
 
     sub.add_parser("check", help="run the invariant self-test suites")
+    parser.canonical = _canonical_table(sub)  # what _read_canonical reads: the flags keep one home
     return parser
+
+
+def _readable(a: argparse.Action) -> bool:
+    """Whether `_read_canonical` stores `a` as parse_args does: a store_true flag or a one-value store,
+    with no string default for parse_args to convert and, if an option, not required."""
+    plain = type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction and a.nargs is None
+    return plain and not (isinstance(a.default, str) and (a.type or a.default == argparse.SUPPRESS)) and not (
+        a.required and a.option_strings)
+
+
+def _canonical_table(sub) -> dict[str, tuple[dict, list, dict]]:
+    """Per subcommand whose arguments are all `_readable`: the namespace values it starts from, its
+    positional actions, and its option actions by exact name.  Help is left out of the options."""
+    table = {}
+    for name, command in sub.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        if all(map(_readable, actions)):
+            start = {sub.dest: name, **{a.dest: a.default for a in actions}}
+            options = {option: a for a in actions for option in a.option_strings}
+            table[name] = (start, [a for a in actions if not a.option_strings], options)
+    return table
+
+
+def _read_canonical(argv) -> Optional[argparse.Namespace]:
+    """The namespace `parse_args(argv)` returns, read from the flag table when `argv` is canonical
+    (see the module docstring) and each value passes its type and choices; otherwise None.  The
+    type functions are pure: a line that falls back to parse_args is converted there once more."""
+    command = _build_parser().canonical.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    start, positionals, options = command
+    values, pairs, found, args = dict(start), [], [], iter(argv[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            found.append(arg)
+        elif arg not in options:
+            return None
+        elif options[arg].nargs == 0:
+            values[options[arg].dest] = options[arg].const
+        else:
+            pairs.append((options[arg], next(args, "-")))
+    if len(found) != len(positionals):
+        return None
+    try:
+        for action, text in [*pairs, *zip(positionals, found)]:  # a repeated option: the last one counts
+            if text.startswith("-"):
+                return None
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _format_amplitude(z: complex) -> str:
@@ -345,11 +404,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command line and return its exit code; a call prints what a fresh process would."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+            return 0 if code == 0 else 1
     try:
         return globals()[f"cmd_{args.command}"](args)
     except KeyboardInterrupt:

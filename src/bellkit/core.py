@@ -356,16 +356,20 @@ def _lift(m: np.ndarray, particle: Particle) -> np.ndarray:
     return blocks.reshape(*m.shape[:-2], 4, 4)
 
 
+# Each named operator lifted to either particle once, by its identity: lift_a and lift_b return these.
+_LIFTED_NAMED = {(id(op), p): TwoQubitOperator(_lift(op.matrix, p)) for op in _NAMED_OPERATORS.values() for p in "AB"}
+
+
 def lift_a(op: SingleQubitOperator) -> TwoQubitOperator:
     """Act with `op` on particle A and leave B untouched."""
     _require_type("op", op, SingleQubitOperator)
-    return TwoQubitOperator(_lift(op.matrix, "A"))
+    return _LIFTED_NAMED.get((id(op), "A")) or TwoQubitOperator(_lift(op.matrix, "A"))
 
 
 def lift_b(op: SingleQubitOperator) -> TwoQubitOperator:
     """Act with `op` on particle B and leave A untouched."""
     _require_type("op", op, SingleQubitOperator)
-    return TwoQubitOperator(_lift(op.matrix, "B"))
+    return _LIFTED_NAMED.get((id(op), "B")) or TwoQubitOperator(_lift(op.matrix, "B"))
 
 
 _PROJECTORS: dict[tuple[str, int], TwoQubitOperator] = {

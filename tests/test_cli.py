@@ -540,6 +540,99 @@ class TestParserCache:
         assert invoke(capsys, argv) == (42, "", "") and called == [command]
 
 
+class TestCanonicalReader:
+    """`main` reads a canonical command line from the parser's flag table: it must read exactly
+    those lines, into the namespace parse_args returns, and print what parse_args would lead to."""
+
+    # The canonical form, written out: per subcommand, its positionals, its one-value options and its flags.
+    FORM = {
+        "run": (1, ("--shots", "--seed", "--format", "--workers"), ("--trace",)),
+        "demo": (0, (), ()),
+        "sweep": (0, ("--class", "--points", "--shots", "--seed"), ()),
+        "check": (0, (), ()),
+    }
+    VALUES = ("5", "2", "1", "0", "", "x", "1.5", " 5", "٣", "١٢", str(2**64 - 1), str(2**64),
+              "-1", "-0", "-", "--", "text", "json", "xml", "phi", "psi", "chi")
+
+    @classmethod
+    def canonical(cls, argv) -> bool:
+        """Whether `argv` has the canonical form, whatever its values."""
+        if not argv or argv[0] not in cls.FORM:
+            return False
+        positionals, valued, flags = cls.FORM[argv[0]]
+        index, found = 1, 0
+        while index < len(argv):
+            arg = argv[index]
+            if arg in valued and index + 1 < len(argv) and not argv[index + 1].startswith("-"):
+                index += 2
+                continue
+            if arg not in flags and arg.startswith("-"):
+                return False
+            found, index = found + (arg not in flags), index + 1
+        return found == positionals
+
+    @classmethod
+    def corpus(cls, tmp_path) -> list[list[str]]:
+        """Every subcommand with exact, abbreviated, `=`-form, repeated and misplaced options, `--`,
+        odd values, wrong positionals and help; TestParserCache's and the usage-error tests' lines."""
+        path = write(tmp_path, "sampled.bk", SAMPLED)
+        usage = next(m for m in TestRunFailures.test_usage_errors_exit_1.pytestmark if m.name == "parametrize")
+        lines = [*TestParserCache.argv_lists(tmp_path), *usage.args[1], [], ["bogus"], ["Run", path], ["ru", path],
+                 ["-h"], ["--help", "run"], ["--shots", "5", "run", path], ["--", "run", path]]
+        for command, (positionals, valued, flags) in cls.FORM.items():
+            files = [path] * positionals
+            lines += [[command, *files], [command, *files, "extra"], [command, *files, "-h"], [command, "--help", *files],
+                      [command, "--", *files], [command, *files, "--"], [command, "-1"], [command, "-"], [command, ""],
+                      [command, *files, "--s", "5"], [command, *files, "--bogus"]]
+            for option in valued:
+                lines += [[command, *files, option, value] for value in cls.VALUES]
+                lines += [[command, option, value, *files] for value in cls.VALUES]
+                lines += [[command, *files, option], [command, *files, f"{option}=5"], [command, *files, option[:4], "5"],
+                          [command, *files, option, "5", option, "2"], [command, *files, option, "x", option, "2"],
+                          [command, option, "2", *files, option, "3"]]
+            for flag in flags:
+                lines += [[command, *files, flag], [command, flag, *files], [command, *files, flag, flag],
+                          [command, *files, f"{flag}=1"], [command, *files, flag[:4]], [command, *files, flag, "x"]]
+        lines += [["run", path, "--shots", "5", "--seed", "3", "--trace", "--format", "json"],
+                  ["run", "--trace", "--format", "json", "--shots", "5", path, "--seed", "3"],
+                  ["run", path, "--shots", "5", "--seed", "3", "--workers", "2"],
+                  ["sweep", "--class", "psi", "--points", "3", "--shots", "16", "--seed", "5"]]
+        return [list(argv) for argv in dict.fromkeys(map(tuple, lines))]
+
+    @staticmethod
+    def parsed(argv):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+    def test_the_reader_reads_canonical_lines_as_parse_args_does_and_no_others(self, tmp_path, capsys):
+        read_lines = 0
+        for argv in self.corpus(tmp_path):
+            expected, read = self.parsed(argv), cli._read_canonical(argv)
+            assert (read is not None) == (expected is not None and self.canonical(argv)), argv
+            assert read is None or vars(read) == expected, argv
+            read_lines += read is not None
+        capsys.readouterr()
+        assert read_lines >= 80
+
+    def test_main_prints_the_same_without_the_reader(self, tmp_path, capsys, monkeypatch):
+        # Lines that parse to more than 10**4 shots or points are left out: they would run that many.
+        cases = [argv for argv in self.corpus(tmp_path) if max((self.parsed(argv) or {}).get(key) or 0
+                                                                for key in ("shots", "points")) <= 10**4]
+        capsys.readouterr()
+        assert len(cases) > 350
+        with_reader = [invoke(capsys, argv) for argv in cases]
+        monkeypatch.setattr(cli, "_read_canonical", lambda argv: None)
+        assert [invoke(capsys, argv) for argv in cases] == with_reader
+
+    @pytest.mark.parametrize("options", [[], ["--trace", "--shots", "3"], ["--shots=3"], ["--sh", "3"], ["-h"]])
+    def test_without_argv_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch, options):
+        argv = ["run", write(tmp_path, "sampled.bk", SAMPLED), *options]
+        monkeypatch.setattr(sys, "argv", ["bellkit", *argv])
+        assert invoke(capsys, None) == invoke(capsys, argv)
+
+
 INVALID = (
     "prepare raw 1 0 1 0 1 0 1 0\nmeasure value A\n",  # norm 2
     "prepare raw 0.1 0 0 0 0 0 0 0\nmeasure value A\n",  # norm 0.1

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import ScriptedStream, count_calls, interpret, random_program
+from helpers import ScriptedStream, count_calls, interpret, interpret_one_particle, random_program
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,11 +411,54 @@ class TestCompile:
         with pytest.raises(TypeError, match=f"^rng must have a callable random\\(\\), got {type(rng).__name__}$"):
             run_shot(compiled, rng)
 
+    def test_every_named_step_holds_the_one_shared_lifted_operator(self):
+        steps = [ApplyNamed(name=name, particle=p) for name in core.OPERATOR_NAMES for p in "AB"]
+        first, second = (engine.compile(program(BasisPreparation(index=0), *steps)) for _ in range(2))
+        for step, (_, shared), (_, again) in zip(steps, first.actions, second.actions):
+            named = core.named_operator(step.name)
+            lift = core.lift_a if step.particle == "A" else core.lift_b
+            assert shared is again and shared is lift(named) is core._LIFTED_NAMED[id(named), step.particle]
+            # An equal operator that is not the named one is lifted afresh: the same bytes.
+            assert shared.matrix.tobytes() == lift(core.SingleQubitOperator(named.matrix)).matrix.tobytes()
+
+    def test_a_raw_step_is_lifted_afresh_and_both_kinds_call_the_lift(self, monkeypatch):
+        lifts = [count_calls(monkeypatch, "core", name) for name in ("lift_a", "lift_b")]
+        raw = ApplyRaw(particle="B", operator=core.SingleQubitOperator(core.named_operator("flip").matrix))
+        compiled = engine.compile(program(BasisPreparation(index=0), raw, ApplyNamed(name="flip", particle="B")))
+        assert [len(calls) for calls in lifts] == [0, 2]
+        (_, fresh), (_, shared) = compiled.actions
+        assert fresh is not shared and fresh == shared
+
     def test_star_import_leaves_the_builtin_compile_alone(self):
         namespace = {}
         exec("from bellkit import *", namespace)
         assert "compile" not in namespace and {"CompiledProgram", "InvalidProgram"} <= set(namespace)
         assert {"CompiledProgram", "InvalidProgram", "compile"} <= set(engine.__all__)
+
+
+class TestOneParticleOracle:
+    """ROADMAP item 9's correspondence as a reference that shares no arithmetic with the engine."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(program_seed=st.integers(0, 2**32 - 1))
+    def test_a_program_without_raw_runs_as_one_particle_and_a_relative_bit(self, program_seed):
+        prog = random_program(np.random.default_rng(program_seed))
+        preparation = prog.preparation
+        if isinstance(preparation, circuit.RawPreparation):
+            preparation = BasisPreparation(index=program_seed % 4)
+        steps = [step for step in prog.steps if not isinstance(step, ApplyRaw)]
+        prog = program(preparation, *steps, seed=prog.seed)
+        compiled = engine.compile(prog)
+        for index in range(4):
+            engine_rng, oracle_rng = derive_rng(prog.seed, index), derive_rng(prog.seed, index)
+            shot = run_shot(compiled, engine_rng)
+            records, final = interpret_one_particle(prog, oracle_rng)
+            assert [outcome_key((record,)) for record in shot.records] == [key for key, _, _ in records]
+            for record, (_, probability, post) in zip(shot.records, records):
+                assert abs(record.probability - probability) <= 1e-12
+                assert np.max(np.abs(record.post_state.vector - post)) <= 1e-12
+            assert np.max(np.abs(shot.final_state.vector - final)) <= 1e-12
+            assert engine_rng.random() == oracle_rng.random()  # both took the same draws
 
 
 def _replay(prog, shots, seed):
