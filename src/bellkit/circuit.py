@@ -366,7 +366,8 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
 def validate(program: CircuitProgram) -> list[Diagnostic]:
     """Static checks on a parsed program; errors block execution, warnings don't.
 
-    Errors: non-unitary raw operators, non-normalized raw preparation,
+    Errors: a step on a particle other than A or B, an unknown operator
+    name, non-unitary raw operators, non-normalized raw preparation,
     shots < 1.  Warnings: no measurements at all; any step after both
     particles have had a value measurement (the state is fully determined
     from that point, so further steps rarely mean what the author hoped).
@@ -378,6 +379,10 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
         message = f"raw preparation is not normalized (norm {format_real(prep.state.norm())}, tolerance {EPS_NORM:g})"
         diags.append(Diagnostic(*prep.source_pos, "error", message))
     for step in program.steps:
+        if isinstance(step, (ApplyNamed, ApplyRaw, MeasureValue)) and step.particle not in ("A", "B"):
+            diags.append(Diagnostic(*step.source_pos, "error", f"particle must be 'A' or 'B', got {step.particle!r}"))
+        if isinstance(step, ApplyNamed) and step.name not in OPERATOR_NAMES:
+            diags.append(Diagnostic(*step.source_pos, "error", f"unknown operator name {step.name!r}"))
         if isinstance(step, ApplyRaw) and not step.operator.is_unitary(EPS_OP):
             diags.append(Diagnostic(*step.source_pos, "error", f"raw operator is not unitary (tolerance {EPS_OP:g})"))
     if program.shots < 1:

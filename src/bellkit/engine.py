@@ -104,7 +104,7 @@ EPS_DET = 1e-9  # outcome probabilities within this of 0 or 1 are deterministic
 
 NODE_BUDGET = 4096  # branch-tree nodes one run stores: a memory bound, not a knob
 _BLOCK_SHOTS = 4096  # shots per block: a peak of 0.9 MiB of seeding and walk arrays (tracemalloc, numpy 2.4)
-_BULK_MIN_SHOTS = 16  # below this, a block's fixed cost exceeds per-shot derive_rng (BENCH_level_build.json)
+_BULK_MIN_SHOTS = 16  # BENCH_level_build.json's crossover; blocks now win from about 10 (BENCH_stream_kernel.json)
 _SPLIT_EACH_MAX = 4  # levels this narrow split node by node, wider ones in one sort: fewer numpy calls (measured)
 _P_PLUS_SIGN = 0.5  # a random-sign preparation takes sign + when its draw is below this
 # Streams that draw onto branch 0 and 1 of any node: its p is 0.5 or inside (EPS_DET, 1 - EPS_DET).

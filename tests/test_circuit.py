@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import random_program
 
-from bellkit import circuit
+from bellkit import circuit, engine
 from bellkit.bell import BellDescriptor
 from bellkit.circuit import (
     ApplyBellOperator,
@@ -395,6 +395,34 @@ class TestValidate:
         assert [(d.line, d.column, d.severity, d.message) for d in diags] == [
             (3, 7, "error", "shots must be >= 1, got 0"),
         ]
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            ApplyNamed("flip", "C", (2, 1)),
+            ApplyRaw("C", SingleQubitOperator([[1, 0], [0, 1]]), (2, 1)),
+            MeasureValue("C", (2, 1)),
+        ],
+    )
+    def test_a_step_on_a_particle_other_than_a_or_b_is_an_error(self, step):
+        # parse never builds one; before this check the engine lifted any particle but "A" onto B.
+        program = CircuitProgram(BasisPreparation(0), (step, MeasureValue("B", (3, 1))), 4, 0)
+        assert [(d.line, d.column, d.severity, d.message) for d in validate(program)] == [
+            (2, 1, "error", "particle must be 'A' or 'B', got 'C'"),
+        ]
+        for call in (engine.compile, engine.run):
+            with pytest.raises(engine.InvalidProgram, match="^2:1: error: particle must be 'A' or 'B', got 'C'$"):
+                call(program)
+
+    def test_an_unknown_operator_name_is_an_error(self):
+        steps = (ApplyNamed("hadamard", "A", (2, 1)), MeasureValue("A", (3, 1)))
+        program = CircuitProgram(BasisPreparation(0), steps, 4, 0)
+        assert [(d.line, d.column, d.severity, d.message) for d in validate(program)] == [
+            (2, 1, "error", "unknown operator name 'hadamard'"),
+        ]
+        for call in (engine.compile, engine.run):
+            with pytest.raises(engine.InvalidProgram, match="^2:1: error: unknown operator name 'hadamard'$"):
+                call(program)
 
     def test_diagnostics_sorted_by_position(self):
         program = parse_ok(

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit
-from bellkit import circuit, core, engine
+from bellkit import _streams, circuit, core, engine
 from bellkit.bell import BellDescriptor, bell_state, classify, separability_defect
 from bellkit.checks import random_two_qubit_state, random_unitary
 from bellkit.circuit import (
@@ -501,6 +501,38 @@ class TestDraws:
             _draws(0, 2**64 - 1, 2**64 + 1, 1)
         with pytest.raises(ValueError):
             _draws(2**64, 0, 1, 1)
+
+    # Seeds of one and two 32-bit words, with 0 and 2**64 - 1; blocks that start at 0, straddle 2**32
+    # (where an index gains a second entropy word), end at 2**64, or start anywhere; 12 rows deep.
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256])
+    def test_blocks_equal_derive_rng_in_every_column_and_row(self, n):
+        rng = np.random.default_rng(n)
+        seeds = (0, 2**32 - 1, 2**32, 2**64 - 1, int(rng.integers(2**32)))
+        seeds += (int(rng.integers(2**32, 2**64, dtype=np.uint64)),)
+        starts = (0, 2**32 - (n + 1) // 2, 2**64 - n, int(rng.integers(2**64 - n, dtype=np.uint64)))
+        for seed in seeds:
+            for start in starts:
+                streams = [derive_rng(seed, index) for index in range(start, start + n)]
+                want = [[stream.random() for _ in range(12)] for stream in streams]
+                assert _draws(seed, start, start + n, 12).T.tolist() == want, (seed, start)
+
+    @pytest.mark.parametrize("seed", [3, 2**40 + 3])
+    def test_a_full_block_equals_derive_rng_in_sampled_columns(self, seed):
+        start = 2**32 - 2048
+        got = _draws(seed, start, start + engine._BLOCK_SHOTS, 12)
+        sampled = np.random.default_rng(seed).choice(engine._BLOCK_SHOTS, 30, replace=False).tolist()
+        sampled += [0, engine._BLOCK_SHOTS - 1]
+        for column in sampled:
+            rng = derive_rng(seed, start + column)
+            assert got[:, column].tolist() == [rng.random() for _ in range(12)], column
+
+    def test_the_kernels_keep_their_dtypes(self):
+        # One uint64 constant would widen a uint32 op on numpy 2 only (NEP 50): numpy 1 casts by value.
+        pool = np.arange(8, dtype=np.uint32).reshape(4, 2)
+        assert _streams._hashmix(pool, *_streams._ENTROPY_HASH).dtype == np.uint32
+        assert _streams._mix(pool, pool).dtype == np.uint32
+        word = np.arange(2, dtype=np.uint64)
+        assert [a.dtype for a in _streams._lcg_step(word, word, (word, word, word, word))] == [np.uint64] * 2
 
 
 class TestBranchTree:
