@@ -19,6 +19,8 @@ a comment, UTF-8 text, \\n or \\r\\n line endings):
     seed <integer>
 
 These are the usage strings of `_FORMS`, the one table `parse` reads by.
+Each statement's class carries its canonical text, which `format_program`
+joins, and its meaning, which `engine.compile` reads (`_Preparation`, `_Step`).
 A program has exactly one preparation; shots/seed may appear at most once.
 Parsing is all-or-nothing: any error yields diagnostics and no program;
 every argument is checked and every error on a line is reported.
@@ -30,9 +32,9 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union, get_args
 
-from .bell import BellClass, BellDescriptor
+from .bell import BellClass, BellDescriptor, bell_state
 from .core import (
     EPS_NORM,
     EPS_OP,
@@ -42,10 +44,16 @@ from .core import (
     SingleQubitOperator,
     TwoQubitState,
     _reim_text,
+    _require_integer,
     _require_type,
     _set,
     _Value,
+    basis_state,
+    bell_operator,
     format_real,
+    lift_a,
+    lift_b,
+    named_operator,
     state_text,
 )
 
@@ -101,62 +109,102 @@ class Diagnostic(_Value):
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-class BasisPreparation(_Positioned):
+def _s0_text(s0: float) -> str:
+    return "" if s0 == DEFAULT_S0 else f" s0={format_real(s0)}"
+
+
+class _Preparation(_Positioned):
+    """A preparation: its `_text`, and its `_prepared` state, or a random sign's (+, -) pair."""
+
+
+class _Step(_Positioned):
+    """A step: its `_text`, and an apply step's `_lifted` 4x4 operator or a measurement's `_measured` particle."""
+
+
+class BasisPreparation(_Preparation):
     def __init__(self, index: int, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "index", index)  # 0..3, basis order |00>, |01>, |10>, |11>
         _set(self, "source_pos", source_pos)
 
+    _text = property(lambda self: f"prepare basis {BASIS_LABELS[self.index]}")
+    _prepared = property(lambda self: (basis_state(self.index),))
 
-class BellPreparation(_Positioned):
+
+class BellPreparation(_Preparation):
     def __init__(self, descriptor: BellDescriptor, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "descriptor", descriptor)
         _set(self, "source_pos", source_pos)
 
+    _text = property(lambda self: f"prepare bell {self.descriptor.bell_class} "
+                     f"{'+' if self.descriptor.sign == 1 else '-'}{_s0_text(self.descriptor.s0)}")
+    _prepared = property(lambda self: (bell_state(self.descriptor),))
 
-class BellRandomSignPreparation(_Positioned):
+
+class BellRandomSignPreparation(_Preparation):
     def __init__(self, bell_class: BellClass, s0: float = DEFAULT_S0, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "bell_class", bell_class)
         _set(self, "s0", s0)
         _set(self, "source_pos", source_pos)
 
+    _text = property(lambda self: f"prepare bell-random-sign {self.bell_class}{_s0_text(self.s0)}")
+    _prepared = property(lambda self: tuple(bell_state(BellDescriptor(self.bell_class, q, self.s0)) for q in (1, -1)))
 
-class RawPreparation(_Positioned):
+
+class RawPreparation(_Preparation):
     def __init__(self, state: TwoQubitState, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "state", state)
         _set(self, "source_pos", source_pos)
+
+    _text = property(lambda self: f"prepare raw {state_text(self.state)}")
+    _prepared = property(lambda self: (self.state,))
 
 
 Preparation = Union[BasisPreparation, BellPreparation, BellRandomSignPreparation, RawPreparation]
 
 
-class ApplyNamed(_Positioned):
+class ApplyNamed(_Step):
     def __init__(self, name: str, particle: Particle, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "name", name)  # one of OPERATOR_NAMES
         _set(self, "particle", particle)
         _set(self, "source_pos", source_pos)
 
+    _text = property(lambda self: f"apply {self.name} {self.particle}")
+    _lifted = property(lambda self: (lift_a if self.particle == "A" else lift_b)(named_operator(self.name)))
 
-class ApplyBellOperator(_Positioned):
+
+class ApplyBellOperator(_Step):
     def __init__(self, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "source_pos", source_pos)
 
+    _text = "apply bellop"
+    _lifted = property(lambda self: bell_operator())
 
-class ApplyRaw(_Positioned):
+
+class ApplyRaw(_Step):
     def __init__(self, particle: Particle, operator: SingleQubitOperator, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "particle", particle)
         _set(self, "operator", operator)
         _set(self, "source_pos", source_pos)
 
+    _text = property(lambda self: f"apply raw {self.particle} {_reim_text(self.operator.matrix.ravel().tolist())}")
+    _lifted = property(lambda self: (lift_a if self.particle == "A" else lift_b)(self.operator))
 
-class MeasureRelative(_Positioned):
+
+class MeasureRelative(_Step):
     def __init__(self, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "source_pos", source_pos)
 
+    _text = "measure relative"
+    _measured = None
 
-class MeasureValue(_Positioned):
+
+class MeasureValue(_Step):
     def __init__(self, particle: Particle, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "particle", particle)
         _set(self, "source_pos", source_pos)
+
+    _text = property(lambda self: f"measure value {self.particle}")
+    _measured = property(lambda self: self.particle)
 
 
 Step = Union[ApplyNamed, ApplyBellOperator, ApplyRaw, MeasureRelative, MeasureValue]
@@ -173,6 +221,12 @@ class CircuitProgram(_Positioned):
         _set(self, "seed", seed)
         _set(self, "shots_pos", shots_pos)
         _set(self, "seed_pos", seed_pos)
+        if not isinstance(preparation, _Preparation):
+            _require_type("preparation", preparation, *get_args(Preparation))
+        for index, step in enumerate(self.steps):
+            if not isinstance(step, _Step):  # the name is formatted only for a wrong step
+                _require_type(f"steps[{index}]", step, *get_args(Step))
+        _require_integer("shots", shots)
 
 
 def ascii_integer(text: str) -> Optional[int]:
@@ -403,44 +457,13 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
     return diags
 
 
-def _format_preparation(prep: Preparation) -> str:
-    if isinstance(prep, BasisPreparation):
-        return f"prepare basis {BASIS_LABELS[prep.index]}"
-    if isinstance(prep, BellPreparation):
-        d = prep.descriptor
-        sign = "+" if d.sign == 1 else "-"
-        suffix = "" if d.s0 == DEFAULT_S0 else f" s0={format_real(d.s0)}"
-        return f"prepare bell {d.bell_class} {sign}{suffix}"
-    if isinstance(prep, BellRandomSignPreparation):
-        suffix = "" if prep.s0 == DEFAULT_S0 else f" s0={format_real(prep.s0)}"
-        return f"prepare bell-random-sign {prep.bell_class}{suffix}"
-    if isinstance(prep, RawPreparation):
-        return f"prepare raw {state_text(prep.state)}"
-    raise TypeError(f"unknown preparation {prep!r}")
-
-
-def _format_step(step: Step) -> str:
-    if isinstance(step, ApplyNamed):
-        return f"apply {step.name} {step.particle}"
-    if isinstance(step, ApplyBellOperator):
-        return "apply bellop"
-    if isinstance(step, ApplyRaw):
-        return f"apply raw {step.particle} {_reim_text(step.operator.matrix.ravel().tolist())}"
-    if isinstance(step, MeasureRelative):
-        return "measure relative"
-    if isinstance(step, MeasureValue):
-        return f"measure value {step.particle}"
-    raise TypeError(f"unknown step {step!r}")
-
-
 def format_program(program: CircuitProgram) -> str:
     """Canonical text: preparation, steps in order, non-default shots/seed.
 
     Reals are rendered with 17 significant digits, so parsing the result
     reproduces the program exactly: parse(format_program(p)) == p.
     """
-    lines = [_format_preparation(program.preparation)]
-    lines.extend(_format_step(step) for step in program.steps)
+    lines = [program.preparation._text, *[step._text for step in program.steps]]
     if program.shots != DEFAULT_SHOTS:
         lines.append(f"shots {program.shots}")
     if program.seed != DEFAULT_SEED:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import attrgetter
 from typing import Literal, Union
 
 import numpy as np
@@ -93,7 +93,7 @@ class _ValueType(type):
         fields = init.__code__.co_varnames[1 : init.__code__.co_argcount] if init else ()
         cls = super().__new__(mcs, name, bases, {**namespace, "__slots__": fields})
         cls.__match_args__, cls._shown = fields, tuple(f for f in fields if f not in cls._hidden)
-        cls._key = attrgetter("__class__", *cls._shown)  # with the class, a tuple however few are shown
+        cls._key = operator.attrgetter("__class__", *cls._shown)  # with the class, a tuple however few are shown
         return cls
 
 
@@ -199,6 +199,16 @@ def _require_type(name: str, value, *kinds: type) -> None:
     """Raise TypeError, naming the parameter `name`, for a `value` of none of `kinds`."""
     if not isinstance(value, kinds):
         raise TypeError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}")
+
+
+def _require_integer(name: str, value) -> int:
+    """`value` as an int, as `operator.index` reads it; a bool, or what it cannot read, is a TypeError naming `name`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def basis_state(index: int) -> TwoQubitState:

@@ -27,54 +27,34 @@ per shot.  A run derives no stream when the leaves a shot can reach without a
 drawing measurement share one key (`_leaf_groups`): as only a random-sign root
 draws without adding a token, the root and its two children decide it.
 
-`compile` validates a program once and resolves its preparation and steps.  `run`
-and `run_shot` take its `CompiledProgram`, or compile a plain program on entry, so
-they never sample a program that `validate` rejects.
+`compile` validates a program once and reads the meaning that each of its statements
+carries (`circuit`'s statement classes).  `run` and `run_shot` take its `CompiledProgram`,
+or compile a plain program on entry, so they never sample a program that `validate` rejects.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator, Optional, Protocol, Union
 
 import numpy as np
 
-from .bell import EPS_SEP, BellDescriptor, bell_state, separability_defect
-from .circuit import (
-    MAX_SEED,
-    ApplyBellOperator,
-    ApplyNamed,
-    ApplyRaw,
-    BasisPreparation,
-    BellPreparation,
-    BellRandomSignPreparation,
-    CircuitProgram,
-    Diagnostic,
-    MeasureRelative,
-    MeasureValue,
-    RawPreparation,
-    validate,
-)
+from .bell import EPS_SEP, separability_defect
+from .circuit import MAX_SEED, CircuitProgram, Diagnostic, MeasureRelative, MeasureValue, validate
 from .core import (
     EPS_ZERO,
     Particle,
-    TwoQubitOperator,
     TwoQubitState,
     _Value,
     _norm,
+    _require_integer,
     _require_normalized,
     _require_type,
     _set,
     apply2,
-    basis_state,
-    bell_operator,
-    lift_a,
-    lift_b,
-    named_operator,
     normalize,
     projector,
 )
@@ -285,10 +265,6 @@ def derive_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shot_index])))
 
 
-def _lift_for(particle: Particle, op) -> TwoQubitOperator:
-    return lift_a(op) if particle == "A" else lift_b(op)
-
-
 class InvalidProgram(ValueError):
     """A program that `validate` rejects; `diagnostics` is its full sorted list, warnings included."""
 
@@ -298,10 +274,10 @@ class InvalidProgram(ValueError):
 
 
 class CompiledProgram(_Value):
-    """A program that `validate` accepts, its warnings, and its preparation and steps resolved:
-    `prepared` is the prepared state, or a random sign's states of sign + and -, of which a draw
-    takes one, and `actions` holds per step ("apply", lifted operator) or ("measure", step
-    index, particle or None for a relative measurement)."""
+    """A program that `validate` accepts, its warnings, and what its statements mean, as `compile`
+    reads it from them: `prepared` is the prepared state, or a random sign's states of sign + and -,
+    of which a draw takes one, and `actions` holds per step ("apply", lifted operator) or
+    ("measure", step index, particle or None for a relative measurement)."""
 
     shots = property(lambda self: self.program.shots)
     seed = property(lambda self: self.program.seed)
@@ -317,40 +293,19 @@ class CompiledProgram(_Value):
 
 
 def compile(program: Union[CircuitProgram, CompiledProgram]) -> CompiledProgram:
-    """Validate `program` once and resolve its preparation and steps; raise InvalidProgram on any
-    error.  A compiled program is returned as it is."""
+    """Validate `program` once and read what its preparation and steps mean, as their classes
+    carry it; raise InvalidProgram on any error.  A compiled program is returned as it is."""
     if isinstance(program, CompiledProgram):
         return program
     _require_type("program", program, CircuitProgram, CompiledProgram)
     diagnostics = validate(program)
     if any(d.severity == "error" for d in diagnostics):
         raise InvalidProgram(diagnostics)
-    prep = program.preparation
-    if isinstance(prep, BasisPreparation):
-        prepared = (basis_state(prep.index),)
-    elif isinstance(prep, BellPreparation):
-        prepared = (bell_state(prep.descriptor),)
-    elif isinstance(prep, BellRandomSignPreparation):
-        prepared = tuple(bell_state(BellDescriptor(prep.bell_class, sign, prep.s0)) for sign in (1, -1))
-    elif isinstance(prep, RawPreparation):
-        prepared = (prep.state,)
-    else:
-        raise TypeError(f"unknown preparation {prep!r}")
-    actions = []
-    for index, step in enumerate(program.steps):
-        if isinstance(step, ApplyNamed):
-            actions.append(("apply", _lift_for(step.particle, named_operator(step.name))))
-        elif isinstance(step, ApplyBellOperator):
-            actions.append(("apply", bell_operator()))
-        elif isinstance(step, ApplyRaw):
-            actions.append(("apply", _lift_for(step.particle, step.operator)))
-        elif isinstance(step, MeasureRelative):
-            actions.append(("measure", index, None))
-        elif isinstance(step, MeasureValue):
-            actions.append(("measure", index, step.particle))
-        else:
-            raise TypeError(f"unknown step {step!r}")
-    return CompiledProgram(program, tuple(diagnostics), prepared, tuple(actions))
+    actions = tuple(
+        ("measure", i, step._measured) if isinstance(step, (MeasureRelative, MeasureValue)) else ("apply", step._lifted)
+        for i, step in enumerate(program.steps)
+    )
+    return CompiledProgram(program, tuple(diagnostics), program.preparation._prepared, actions)
 
 
 def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
@@ -672,16 +627,6 @@ def run_shot(program: Union[CircuitProgram, CompiledProgram], rng: RandomStream)
     return _BranchTree(program, budget=0).walk(rng)[0]
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int, as `operator.index` reads it; bools are rejected too."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run(
     program: Union[CircuitProgram, CompiledProgram],
     shots: Optional[int] = None,
@@ -699,9 +644,9 @@ def run(
     `keep_results` keeps one ShotResult per shot: MemoryError when they cannot fit.
     """
     program = compile(program)
-    shots = _integer("shots", program.shots if shots is None else shots)
-    seed = _integer("seed", program.seed if seed is None else seed)
-    workers = _integer("workers", workers)
+    shots = _require_integer("shots", program.shots if shots is None else shots)
+    seed = _require_integer("seed", program.seed if seed is None else seed)
+    workers = _require_integer("workers", workers)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not (0 <= seed <= MAX_SEED):

@@ -1,6 +1,7 @@
 """Program text parsing, static validation, and canonical formatting."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -329,10 +330,35 @@ class TestParseErrors:
             parse(source)
 
 
+_PREPARATION_TYPES = "BasisPreparation or BellPreparation or BellRandomSignPreparation or RawPreparation"
+_STEP_TYPES = "ApplyNamed or ApplyBellOperator or ApplyRaw or MeasureRelative or MeasureValue"
+_BASIS = BasisPreparation(0)
+
+
 class TestValidate:
     def test_a_program_that_is_not_a_circuit_program_is_a_type_error(self):
         with pytest.raises(TypeError, match="^program must be a CircuitProgram, got NoneType$"):
             validate(None)
+
+    @pytest.mark.parametrize("call", [
+        validate, engine.compile, engine.run, lambda p: engine.run_shot(p, engine.derive_rng(0, 0)), format_program,
+    ], ids=["validate", "compile", "run", "run_shot", "format_program"])
+    @pytest.mark.parametrize("args,message", [
+        ((object(),), f"preparation must be a {_PREPARATION_TYPES}, got object"),
+        ((MeasureValue("A"),), f"preparation must be a {_PREPARATION_TYPES}, got MeasureValue"),
+        ((_BASIS, (MeasureValue("A"), MeasureValue("B"), object())), f"steps[2] must be a {_STEP_TYPES}, got object"),
+        ((_BASIS, (BasisPreparation(1),)), f"steps[0] must be a {_STEP_TYPES}, got BasisPreparation"),
+        ((_BASIS, (MeasureValue("A"),), "5"), "shots must be an integer, got '5'"),
+        ((_BASIS, (MeasureValue("A"),), True), "shots must be an integer, got True"),
+    ], ids=["object-prep", "step-as-prep", "object-step", "prep-as-step", "str-shots", "bool-shots"])
+    def test_a_preparation_step_or_shots_of_a_wrong_type_is_a_type_error(self, call, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(CircuitProgram(*args))
+
+    def test_steps_may_come_from_any_iterable(self):
+        steps = [ApplyNamed("flip", "A"), MeasureValue("A")]
+        program = CircuitProgram(BasisPreparation(0), (step for step in steps), np.int64(3))
+        assert program.steps == tuple(steps) and engine.run(program).counts == {"A=1": 3}
 
     def test_clean_program_has_no_diagnostics(self):
         program = parse_ok(

@@ -30,6 +30,7 @@ from bellkit.circuit import (
     CircuitProgram,
     MeasureRelative,
     MeasureValue,
+    RawPreparation,
 )
 from bellkit.engine import (
     RelativeBit,
@@ -410,6 +411,32 @@ class TestCompile:
         compiled = engine.compile(circuit.parse(source)[0])
         with pytest.raises(TypeError, match=f"^rng must have a callable random\\(\\), got {type(rng).__name__}$"):
             run_shot(compiled, rng)
+
+    def test_each_statement_kind_resolves_to_its_meaning(self):
+        state, raw = core.TwoQubitState(0.6, 0, 0, 0.8j), core.SingleQubitOperator([[0, 1j], [1j, 0]])
+        preparations = [
+            (BasisPreparation(index=2), (core.basis_state(2),)),
+            (BellPreparation(BellDescriptor("psi", -1, 0.6)), (bell_state(BellDescriptor("psi", -1, 0.6)),)),
+            (BellRandomSignPreparation("phi", 0.6), (bell_state(BellDescriptor("phi", 1, 0.6)),
+                                                     bell_state(BellDescriptor("phi", -1, 0.6)))),  # (+, -)
+            (RawPreparation(state), (state,)),
+        ]
+        for preparation, prepared in preparations:
+            assert engine.compile(program(preparation)).prepared == prepared
+        lifts = {"A": core.lift_a, "B": core.lift_b}
+        steps = [(ApplyNamed(name, p), lifts[p](core.named_operator(name))) for name in core.OPERATOR_NAMES
+                 for p in "AB"]
+        steps += [(ApplyBellOperator(), core.bell_operator())] + [(ApplyRaw(p, raw), lifts[p](raw)) for p in "AB"]
+        steps += [(MeasureRelative(), None), (MeasureValue("A"), "A"), (MeasureValue("B"), "B")]
+        actions = engine.compile(program(BasisPreparation(index=0), *[step for step, _ in steps])).actions
+        for index, ((step, meaning), action) in enumerate(zip(steps, actions)):
+            if isinstance(step, (MeasureRelative, MeasureValue)):
+                assert action == ("measure", index, meaning)
+            elif isinstance(step, ApplyNamed):  # the cached lift object itself
+                assert action[0] == "apply" and action[1] is meaning
+            else:
+                assert action[0] == "apply" and action[1].matrix.tobytes() == meaning.matrix.tobytes()
+        assert len(actions) == len(steps) == 14
 
     def test_every_named_step_holds_the_one_shared_lifted_operator(self):
         steps = [ApplyNamed(name=name, particle=p) for name in core.OPERATOR_NAMES for p in "AB"]
