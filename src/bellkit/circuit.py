@@ -227,6 +227,7 @@ class CircuitProgram(_Positioned):
             if not isinstance(step, _Step):  # the name is formatted only for a wrong step
                 _require_type(f"steps[{index}]", step, *get_args(Step))
         _require_integer("shots", shots)
+        _require_integer("seed", seed)
 
 
 def ascii_integer(text: str) -> Optional[int]:
@@ -420,15 +421,21 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
 def validate(program: CircuitProgram) -> list[Diagnostic]:
     """Static checks on a parsed program; errors block execution, warnings don't.
 
-    Errors: a step on a particle other than A or B, an unknown operator
-    name, non-unitary raw operators, non-normalized raw preparation,
-    shots < 1.  Warnings: no measurements at all; any step after both
+    Errors: a preparation field its own rule refuses (a basis index outside
+    0..3, a Bell class other than phi or psi, s0 outside [0, 1]), a step on
+    a particle other than A or B, an unknown operator name, non-unitary raw
+    operators, non-normalized raw preparation, shots < 1, a seed outside
+    0..2**64-1.  Warnings: no measurements at all; any step after both
     particles have had a value measurement (the state is fully determined
     from that point, so further steps rarely mean what the author hoped).
     """
     _require_type("program", program, CircuitProgram)
     diags: list[Diagnostic] = []
     prep = program.preparation
+    try:
+        prep._prepared  # its fields' own rules: a basis index, a Bell class or s0
+    except ValueError as exc:
+        diags.append(Diagnostic(*prep.source_pos, "error", str(exc)))
     if isinstance(prep, RawPreparation) and prep.state.subnormalized:
         message = f"raw preparation is not normalized (norm {format_real(prep.state.norm())}, tolerance {EPS_NORM:g})"
         diags.append(Diagnostic(*prep.source_pos, "error", message))
@@ -441,6 +448,9 @@ def validate(program: CircuitProgram) -> list[Diagnostic]:
             diags.append(Diagnostic(*step.source_pos, "error", f"raw operator is not unitary (tolerance {EPS_OP:g})"))
     if program.shots < 1:
         diags.append(Diagnostic(*program.shots_pos, "error", f"shots must be >= 1, got {program.shots}"))
+    if not 0 <= program.seed <= MAX_SEED:
+        message = f"seed must fit in an unsigned 64-bit integer, got {program.seed}"
+        diags.append(Diagnostic(*program.seed_pos, "error", message))
 
     if not any(isinstance(step, (MeasureRelative, MeasureValue)) for step in program.steps):
         diags.append(Diagnostic(*prep.source_pos, "warning", "program contains no measurements"))

@@ -173,19 +173,16 @@ class ShotStatistics:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-_First = tuple[float, Optional[int], Optional[TwoQubitState]]
-
-
-def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> _First:
-    """First-outcome probability p (Same, or `particle` = 0), the outcome, 0 for
-    the first or 1, that p makes certain within EPS_DET (None if it draws), and
-    for a value measurement the projection onto `particle` = 0 that gave p."""
+def _first_outcome(s: TwoQubitState, particle: Optional[Particle]) -> tuple[float, Optional[int]]:
+    """First-outcome probability p (Same, or `particle` = 0) and the outcome, 0 for the first
+    or 1, that p makes certain within EPS_DET (None if it draws).  p is the squared norm of
+    the two amplitudes that the first outcome keeps, with `_first_p`'s arithmetic: the
+    diagonal g00, g11 for the relative bit, row g00, g01 for A and column g00, g10 for B."""
     if particle is None:
-        p, projected = abs(s.g00) ** 2 + abs(s.g11) ** 2, None
+        p = abs(s.g00) ** 2 + abs(s.g11) ** 2
     else:
-        projected = apply2(projector(particle, 0), s)
-        p = projected.norm() ** 2
-    return p, _certain(p), projected
+        p = _pair_norms([(s.g00, s.g01 if particle == "A" else s.g10)])[0] ** 2
+    return p, _certain(p)
 
 
 def _certain(p: float) -> Optional[int]:
@@ -202,7 +199,7 @@ def relative_bit(s: TwoQubitState) -> RelativeBitResult:
     that is not normalized (`s.subnormalized`) is a ValueError.
     """
     _require_normalized(s, "relative_bit")
-    p_same, certain, _ = _first_outcome(s, None)
+    p_same, certain = _first_outcome(s, None)
     return RelativeBitResult(None if certain is None else _RELATIVE_BITS[certain], p_same)
 
 
@@ -214,7 +211,7 @@ def measure_relative(
     Deterministic inputs (one diagonal empty within EPS_DET) consume no draw
     and pass the state through unchanged.
     """
-    p_same, outcome, _ = _first_outcome(s, None)
+    p_same, outcome = _first_outcome(s, None)
     if outcome is not None:
         post, probability, projected_norm = s, 1.0, 1.0
     else:
@@ -230,26 +227,20 @@ def measure_relative(
 
 
 def measure_value(
-    s: TwoQubitState,
-    particle: Particle,
-    rng: Optional[RandomStream],
-    step_index: int = 0,
-    *,
-    first: Optional[_First] = None,
+    s: TwoQubitState, particle: Particle, rng: Optional[RandomStream], step_index: int = 0
 ) -> tuple[MeasurementRecord, TwoQubitState]:
     """Projectively measure one particle's value (Born rule).
 
+    The probability p of `particle` = 0 is read from the two amplitudes that outcome
+    keeps (`_first_outcome`); only the realized outcome's projection is computed.
     Probabilities within EPS_DET of 0 or 1 take the deterministic branch and
     consume no draw.  The record keeps the projected state's norm before
     renormalization.  The post-state is always a product state: projection
     zeroes one row of the coefficient matrix, so the defect vanishes.
-    `first` is ``_first_outcome(s, particle)`` when the caller has already
-    computed it; its projection may be None.
     """
-    p0, certain, projected = _first_outcome(s, particle) if first is None else first
+    p0, certain = _first_outcome(s, particle)
     outcome = (0 if rng.random() < p0 else 1) if certain is None else certain
-    if outcome == 1 or projected is None:
-        projected = apply2(projector(particle, outcome), s)
+    projected = apply2(projector(particle, outcome), s)
     projected_norm = projected.norm()
     probability = projected_norm**2 if certain is None else 1.0
     post = normalize(projected)
@@ -326,7 +317,6 @@ def outcome_key(records: tuple[MeasurementRecord, ...]) -> str:
 class _Node:
     """Inner node: first-outcome p, `at` = (action position, state, records), [child 0, child 1].
 
-    A node keeps no first-outcome projection: each of its children is built only once.
     A node that `_build_level` built holds an amplitude vector and the outcome tokens so
     far instead of a state and records, and its leaves hold no result.
     """
@@ -400,32 +390,31 @@ class _BranchTree:
         drawn = len(self.prepared) == 2  # the sign is drawn
         self.root = _Node(_P_PLUS_SIGN, (0, None, ()), [None, None]) if drawn else self._build(0, None, ())
 
-    def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream], first=None):
-        """Run one action; `first` is a value measurement's already known `_first_outcome`."""
+    def _step(self, action: tuple, state, records: tuple, rng: Optional[RandomStream]):
+        """Run one action."""
         if action[0] == "prepare":
             return self.prepared[0 if len(self.prepared) == 1 or rng.random() < _P_PLUS_SIGN else 1], records
         if action[0] == "apply":
             return apply2(action[1], state), records
-        # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS (and measure_value by
-        # `first=`), not from its outcome directly, and measure_value keeps its separability_defect check:
-        # bench/tracing.py times all three by name, and `bench/run.py --trace 1` exits 4 on a workload whose batch
-        # never calls one of them.  On the trace workload, a kept run's `_child` is measure_relative's only caller.
+        # A child is built through the public measure_* calls, steered by _BRANCH_STREAMS, not from its
+        # outcome directly, and measure_value keeps its separability_defect check: bench/tracing.py times
+        # all three by name, and `bench/run.py --trace 1` exits 4 on a workload whose batch never calls
+        # one of them.  On the trace workload, a kept run's `_child` is measure_relative's only caller.
         if action[2] is None:
             record, state = measure_relative(state, rng, step_index=action[1])
         else:
-            record, state = measure_value(state, action[2], rng, step_index=action[1], first=first)
+            record, state = measure_value(state, action[2], rng, step_index=action[1])
         return state, records + (record,)
 
     def _build(self, position: int, state, records: tuple):
         """Run the actions from `position` up to the next one that draws."""
         for position in range(position, len(self.actions)):
             action = self.actions[position]
-            first = None
             if action[0] == "measure":
-                first = _first_outcome(state, action[2])
-                if first[1] is None:
-                    return _Node(first[0], (position, state, records), [None, None])
-            state, records = self._step(action, state, records, None, first)  # draws nothing
+                p, certain = _first_outcome(state, action[2])
+                if certain is None:
+                    return _Node(p, (position, state, records), [None, None])
+            state, records = self._step(action, state, records, None)  # draws nothing
         return ShotResult(records=records, final_state=state), outcome_key(records)
 
     def _child(self, node: _Node, branch: int):
@@ -434,9 +423,7 @@ class _BranchTree:
         if child is None:
             position, state, records = node.at
             replay = _BRANCH_STREAMS[branch]
-            child = self._build(
-                position + 1, *self._step(self.actions[position], state, records, replay, (node.p, None, None))
-            )
+            child = self._build(position + 1, *self._step(self.actions[position], state, records, replay))
             if self.size < self.budget:  # once full, never stores again
                 node.children[branch] = child
                 self.size += 1

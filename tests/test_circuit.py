@@ -350,7 +350,10 @@ class TestValidate:
         ((_BASIS, (BasisPreparation(1),)), f"steps[0] must be a {_STEP_TYPES}, got BasisPreparation"),
         ((_BASIS, (MeasureValue("A"),), "5"), "shots must be an integer, got '5'"),
         ((_BASIS, (MeasureValue("A"),), True), "shots must be an integer, got True"),
-    ], ids=["object-prep", "step-as-prep", "object-step", "prep-as-step", "str-shots", "bool-shots"])
+        ((_BASIS, (MeasureValue("A"),), 4, "7"), "seed must be an integer, got '7'"),
+        ((_BASIS, (MeasureValue("A"),), 4, True), "seed must be an integer, got True"),
+    ], ids=["object-prep", "step-as-prep", "object-step", "prep-as-step", "str-shots", "bool-shots", "str-seed",
+            "bool-seed"])
     def test_a_preparation_step_or_shots_of_a_wrong_type_is_a_type_error(self, call, args, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call(CircuitProgram(*args))
@@ -421,6 +424,36 @@ class TestValidate:
         assert [(d.line, d.column, d.severity, d.message) for d in diags] == [
             (3, 7, "error", "shots must be >= 1, got 0"),
         ]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bit"])
+    def test_a_seed_outside_unsigned_64_bit_is_an_error(self, seed):
+        # parse never builds one; format_program would write a `seed` line that parse rejects.
+        program = CircuitProgram(BasisPreparation(0), (MeasureValue("A", (2, 1)),), 4, seed, seed_pos=(3, 6))
+        message = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+        assert [(d.line, d.column, d.severity, d.message) for d in validate(program)] == [(3, 6, "error", message)]
+        for call in (engine.compile, engine.run):
+            with pytest.raises(engine.InvalidProgram, match=f"^3:6: error: {message}$"):
+                call(program)
+
+    def test_a_numpy_integer_seed_still_runs(self):
+        program = CircuitProgram(BellPreparation(BellDescriptor("phi", 1)), (MeasureValue("A"),), 20, np.int64(7))
+        assert validate(program) == []
+        assert engine.run(program) == engine.run(CircuitProgram(program.preparation, program.steps, 20, 7))
+
+    @pytest.mark.parametrize("preparation,message", [
+        (BasisPreparation(7, (2, 3)), "basis index must be 0..3, got 7"),
+        (BasisPreparation(-1, (2, 3)), "basis index must be 0..3, got -1"),
+        (BellRandomSignPreparation("phi", 1.5, (2, 3)), "s0 must lie in [0, 1], got 1.5"),
+        (BellRandomSignPreparation("chi", source_pos=(2, 3)), "bell_class must be 'phi' or 'psi', got 'chi'"),
+        (BellRandomSignPreparation("psi", math.nan, (2, 3)), "s0 must lie in [0, 1], got nan"),
+    ], ids=["basis-7", "basis-negative", "s0-past-1", "class-chi", "s0-nan"])
+    def test_a_preparation_field_its_rule_refuses_is_an_error(self, preparation, message):
+        # parse never builds one; format_program would fail on it or write a different or unparseable program.
+        program = CircuitProgram(preparation, (MeasureValue("A", (3, 1)),), 4, 0)
+        assert [(d.line, d.column, d.severity, d.message) for d in validate(program)] == [(2, 3, "error", message)]
+        for call in (engine.compile, engine.run):
+            with pytest.raises(engine.InvalidProgram, match=f"^2:3: error: {re.escape(message)}$"):
+                call(program)
 
     @pytest.mark.parametrize(
         "step",

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,32 @@ class TestMeasureValue:
             for particle in ("A", "B"):
                 _, post = measure_value(s, particle, ScriptedStream([float(rng.random())]))
                 assert separability_defect(post) <= 1e-8
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        parts=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-1.0, 1.0),
+                st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, allow_subnormal=True),  # subnormal
+                st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), st.floats(1e154, 1e200)),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+        particle=st.sampled_from("AB"),
+    )
+    def test_first_outcome_p_equals_the_projected_norm_squared(self, parts, particle):
+        # p is read from the two kept amplitudes, with no projection: the projector's exact 0s and 1s
+        # change only signs of zeros, so the bits are the same, inf where a square overflows included.
+        state = core.TwoQubitState(*[complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
+        projected = core.apply2(core.projector(particle, 0), state).norm() ** 2
+        assert struct.pack("<d", engine._first_outcome(state, particle)[0]) == struct.pack("<d", projected)
+
+    @pytest.mark.parametrize("state", [PHI_PLUS, core.basis_state(0)], ids=["drawing", "certain"])
+    def test_an_invalid_particle_is_the_projector_value_error(self, state):
+        with pytest.raises(ValueError, match="particle must be 'A' or 'B'"):
+            measure_value(state, "C", ScriptedStream([0.3]))
 
 
 class TestShotExecution:
@@ -716,9 +743,9 @@ class TestBranchTree:
             assert walked[1] == next(key for key, columns in got if column in columns)
 
     @pytest.mark.parametrize("draw, outcome", [(0.3, 0), (0.7, 1)])
-    def test_a_drawn_value_measurement_costs_two_apply2_calls(self, monkeypatch, draw, outcome):
-        # One apply2 decides the node's probability, one projects the drawn branch: on branch 1
-        # only because `_child` hands measure_value the node's p instead of recomputing it.
+    def test_a_drawn_value_measurement_costs_one_apply2_call(self, monkeypatch, draw, outcome):
+        # The node's probability is read from the amplitudes the first outcome keeps, with no
+        # projection: the one apply2 projects the drawn branch.
         calls = []
 
         def counting_apply2(op, state):
@@ -728,7 +755,7 @@ class TestBranchTree:
         monkeypatch.setattr(engine, "apply2", counting_apply2)
         prog = program(BellPreparation(descriptor=BellDescriptor("phi", 1)), MeasureValue(particle="A"))
         shot = run_shot(prog, ScriptedStream([draw]))
-        assert shot.records[0].outcome == outcome and len(calls) == 2
+        assert shot.records[0].outcome == outcome and len(calls) == 1
 
     def test_a_deterministic_value_measurement_costs_one_apply2_call(self, monkeypatch):
         # The projection that decides the outcome is certain is the post-measurement state.
