@@ -21,11 +21,7 @@ from . import bell, circuit, core, engine
 
 __all__ = [
     "CheckResult",
-    "random_single_qubit_state",
     "random_two_qubit_state",
-    "random_product_state",
-    "random_operator",
-    "random_unitary",
     "nearest_product_distance",
     "run_all",
     "GROUPS",
@@ -44,7 +40,7 @@ class CheckResult(core._Value):
 # its draws in the order of the one-sample helpers: the real parts, then the
 # imaginary parts, and a product state's A factor before its B factor.  One
 # rng.normal call for n samples returns the bytes of n one-sample calls, so
-# the random_* helpers below are this code on a single sample.
+# random_two_qubit_state below (and the tests' random_*) are this code on a single sample.
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -100,24 +96,8 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def random_single_qubit_state(rng: np.random.Generator) -> core.SingleQubitState:
-    return core.SingleQubitState.from_vector(_unit_vectors(rng.normal(size=(2, 2))))
-
-
 def random_two_qubit_state(rng: np.random.Generator) -> core.TwoQubitState:
     return core.TwoQubitState.from_vector(_unit_vectors(rng.normal(size=(2, 4))))
-
-
-def random_product_state(rng: np.random.Generator) -> core.TwoQubitState:
-    return core.TwoQubitState.from_vector(_products(rng.normal(size=(2, 2, 2))))
-
-
-def random_operator(rng: np.random.Generator) -> core.SingleQubitOperator:
-    return core.SingleQubitOperator(_operators(rng.normal(size=(2, 2, 2))))
-
-
-def random_unitary(rng: np.random.Generator) -> core.SingleQubitOperator:
-    return core.SingleQubitOperator(_unitaries(rng.normal(size=(2, 2, 2))))
 
 
 _STANDARD = tuple(bell.BellDescriptor(cls, sign) for cls in ("phi", "psi") for sign in (1, -1))

@@ -1,7 +1,7 @@
 """Line-oriented circuit language: parsing, validation, canonical formatting.
 
-Grammar (one statement per line, tokens separated by whitespace, `#` starts
-a comment, UTF-8 text, \\n or \\r\\n line endings):
+Grammar (one statement per line, words separated by str.isspace() characters,
+`#` starts a comment, UTF-8 text, \\n or \\r\\n line endings):
 
     prepare basis <00|01|10|11>
     prepare bell <phi|psi> <+|-> [s0=<real>]
@@ -24,15 +24,16 @@ joins, and its meaning, which `engine.compile` reads (`_Preparation`, `_Step`).
 A program has exactly one preparation; shots/seed may appear at most once.
 Parsing is all-or-nothing: any error yields diagnostics and no program;
 every argument is checked and every error on a line is reported.
-Diagnostics carry 1-based (line, column) positions into the source text.
+A diagnostic's column is the 1-based code-point column of the offending word.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union, get_args
+from typing import Callable, Optional, Union, get_args
 
 from .bell import BellClass, BellDescriptor, bell_state
 from .core import (
@@ -125,6 +126,8 @@ class BasisPreparation(_Preparation):
     def __init__(self, index: int, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "index", index)  # 0..3, basis order |00>, |01>, |10>, |11>
         _set(self, "source_pos", source_pos)
+        if type(index) is not int:  # one test for a field of the right type; a numpy integer passes below
+            _require_integer("index", index)
 
     _text = property(lambda self: f"prepare basis {BASIS_LABELS[self.index]}")
     _prepared = property(lambda self: (basis_state(self.index),))
@@ -145,6 +148,10 @@ class BellRandomSignPreparation(_Preparation):
         _set(self, "bell_class", bell_class)
         _set(self, "s0", s0)
         _set(self, "source_pos", source_pos)
+        if not isinstance(bell_class, str) or type(s0) is not float:
+            _require_type("bell_class", bell_class, str)
+            if isinstance(s0, bool) or not isinstance(s0, numbers.Real):
+                raise TypeError(f"s0 must be a real number, got {s0!r}")
 
     _text = property(lambda self: f"prepare bell-random-sign {self.bell_class}{_s0_text(self.s0)}")
     _prepared = property(lambda self: tuple(bell_state(BellDescriptor(self.bell_class, q, self.s0)) for q in (1, -1)))
@@ -167,6 +174,9 @@ class ApplyNamed(_Step):
         _set(self, "name", name)  # one of OPERATOR_NAMES
         _set(self, "particle", particle)
         _set(self, "source_pos", source_pos)
+        if not (isinstance(name, str) and isinstance(particle, str)):
+            _require_type("name", name, str)
+            _require_type("particle", particle, str)
 
     _text = property(lambda self: f"apply {self.name} {self.particle}")
     _lifted = property(lambda self: (lift_a if self.particle == "A" else lift_b)(named_operator(self.name)))
@@ -185,6 +195,8 @@ class ApplyRaw(_Step):
         _set(self, "particle", particle)
         _set(self, "operator", operator)
         _set(self, "source_pos", source_pos)
+        if not isinstance(particle, str):
+            _require_type("particle", particle, str)
 
     _text = property(lambda self: f"apply raw {self.particle} {_reim_text(self.operator.matrix.ravel().tolist())}")
     _lifted = property(lambda self: (lift_a if self.particle == "A" else lift_b)(self.operator))
@@ -202,6 +214,8 @@ class MeasureValue(_Step):
     def __init__(self, particle: Particle, source_pos: tuple[int, int] = (1, 1)) -> None:
         _set(self, "particle", particle)
         _set(self, "source_pos", source_pos)
+        if not isinstance(particle, str):
+            _require_type("particle", particle, str)
 
     _text = property(lambda self: f"measure value {self.particle}")
     _measured = property(lambda self: self.particle)
@@ -240,19 +254,7 @@ def ascii_integer(text: str) -> Optional[int]:
     return None
 
 
-class _Token(NamedTuple):
-    text: str
-    column: int  # 1-based
-
-
-def _tokenize(line: str) -> list[_Token]:
-    cut = line.find("#")
-    if cut != -1:
-        line = line[:cut]
-    return [_Token(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
-_Reader = Callable[[str], object]  # one argument token's text -> its value; raises ValueError(diagnostic)
+_Reader = Callable[[str], object]  # one argument word -> its value; raises ValueError(diagnostic)
 
 
 def _one_of(expected: str, values: dict) -> _Reader:
@@ -305,7 +307,7 @@ def _complex_pairs(values: tuple[float, ...]) -> list[complex]:
     return [complex(re, im) for re, im in zip(values[::2], values[1::2])]
 
 
-# (keyword, kind) -> (usage, one reader per argument token, constructor); `shots` and `seed`
+# (keyword, kind) -> (usage, one reader per argument word, constructor); `shots` and `seed`
 # take no kind. The constructor gets the read values and the statement's source_pos.
 _FORMS: dict[tuple[str, Optional[str]], tuple[str, tuple[_Reader, ...], Callable[..., object]]] = {
     ("prepare", "basis"): ("prepare basis <00|01|10|11>", (_basis,), BasisPreparation),
@@ -350,36 +352,38 @@ _KINDS = {
 _ONCE = ("prepare", "shots", "seed")  # statements a program has at most once
 
 
-def _statement(tokens: list[_Token], line_no: int, diags: list[Diagnostic]) -> object:
-    """The statement on one line, or None once its errors are in `diags`."""
+def _statement(words: list[str], code: str, source_pos: tuple[int, int], diags: list[Diagnostic]) -> object:
+    """The statement of one line's words, or None once its errors are in `diags`."""
 
-    def error(token: _Token, message: str) -> None:
-        diags.append(Diagnostic(line_no, token.column, "error", message))
+    def error(index: int, message: str) -> None:  # only a diagnostic scans `code` for word `index`'s column
+        column = [match.start() for match in _TOKEN_RE.finditer(code)][index] + 1
+        diags.append(Diagnostic(source_pos[0], column, "error", message))
 
-    head = tokens[0]
-    if (head.text, None) in _FORMS:
-        form, args = _FORMS[head.text, None], tokens[1:]
-    elif head.text not in _KINDS:
-        return error(head, f"unknown keyword {head.text!r}")
-    elif len(tokens) < 2:
-        return error(head, f"expected: {_KINDS[head.text][0]}")
-    elif (head.text, tokens[1].text) not in _FORMS:
-        return error(tokens[1], _KINDS[head.text][1].format(tokens[1].text))
+    head = words[0]
+    if (head, None) in _FORMS:
+        form, first = _FORMS[head, None], 1
+    elif head not in _KINDS:
+        return error(0, f"unknown keyword {head!r}")
+    elif len(words) < 2:
+        return error(0, f"expected: {_KINDS[head][0]}")
+    elif (head, words[1]) not in _FORMS:
+        return error(1, _KINDS[head][1].format(words[1]))
     else:
-        form, args = _FORMS[head.text, tokens[1].text], tokens[2:]
+        form, first = _FORMS[head, words[1]], 2
     usage, readers, build = form
+    args = words[first:]
     if len(args) > len(readers):
-        return error(args[len(readers)], f"unexpected extra argument; expected: {usage}")
+        return error(first + len(readers), f"unexpected extra argument; expected: {usage}")
     if len(args) < len(readers) - (_s0 in readers):
-        return error(tokens[-1], f"expected: {usage}")
+        return error(-1, f"expected: {usage}")
     values, failed = [], False
-    for read, token in zip(readers, args):
+    for index, (read, text) in enumerate(zip(readers, args), start=first):
         try:
-            values.append(read(token.text))
+            values.append(read(text))
         except ValueError as exc:
-            error(token, str(exc))
+            error(index, str(exc))
             failed = True
-    return None if failed else build(*values, source_pos=(line_no, head.column))
+    return None if failed else build(*values, source_pos=source_pos)
 
 
 def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
@@ -388,24 +392,24 @@ def parse(source: str) -> tuple[Optional[CircuitProgram], list[Diagnostic]]:
     diags: list[Diagnostic] = []
     prepare_seen = False  # a malformed prepare line has its own diagnostic
     steps: list[Step] = []
-    once: dict[str, tuple[object, tuple[int, int]]] = {}  # _ONCE keyword -> (statement, its last token's position)
+    once: dict[str, tuple[object, tuple[int, int]]] = {}  # _ONCE keyword -> (statement, its last word's position)
 
-    for line_no, raw_line in enumerate(source.split("\n"), start=1):
-        line = raw_line[:-1] if raw_line.endswith("\r") else raw_line
-        tokens = _tokenize(line)
-        if not tokens:
+    for line_no, line in enumerate(source.split("\n"), start=1):
+        code = line.partition("#")[0]
+        words = code.split()
+        if not words:
             continue
-        head = tokens[0]
-        prepare_seen = prepare_seen or head.text == "prepare"
-        statement = _statement(tokens, line_no, diags)
+        head, column = words[0], len(code) - len(code.lstrip()) + 1
+        prepare_seen = prepare_seen or head == "prepare"
+        statement = _statement(words, code, (line_no, column), diags)
         if statement is None:
             continue
-        if head.text not in _ONCE:
+        if head not in _ONCE:
             steps.append(statement)  # type: ignore[arg-type]
-        elif head.text in once:
-            diags.append(Diagnostic(line_no, head.column, "error", f"duplicate {head.text} statement"))
+        elif head in once:
+            diags.append(Diagnostic(line_no, column, "error", f"duplicate {head} statement"))
         else:
-            once[head.text] = (statement, (line_no, tokens[-1].column))
+            once[head] = (statement, (line_no, len(code.rstrip()) - len(words[-1]) + 1))
 
     if not prepare_seen:
         diags.append(Diagnostic(1, 1, "error", "missing prepare statement"))

@@ -8,10 +8,12 @@ import numpy as np
 
 from bellkit import circuit
 from bellkit.bell import BellDescriptor, bell_state
-from bellkit.checks import random_two_qubit_state, random_unitary
+from bellkit.checks import _operators, _products, _unit_vectors, _unitaries, random_two_qubit_state
 from bellkit.core import (
     INV_SQRT2,
     SingleQubitOperator,
+    SingleQubitState,
+    TwoQubitState,
     apply2,
     basis_state,
     bell_operator,
@@ -20,6 +22,25 @@ from bellkit.core import (
     named_operator,
 )
 from bellkit.engine import EPS_DET, ShotResult, measure_relative, measure_value
+
+
+# One-sample draws through the batched helpers of `checks`; `bellkit check` itself uses only its random_two_qubit_state.
+
+
+def random_single_qubit_state(rng: np.random.Generator) -> SingleQubitState:
+    return SingleQubitState.from_vector(_unit_vectors(rng.normal(size=(2, 2))))
+
+
+def random_product_state(rng: np.random.Generator) -> TwoQubitState:
+    return TwoQubitState.from_vector(_products(rng.normal(size=(2, 2, 2))))
+
+
+def random_operator(rng: np.random.Generator) -> SingleQubitOperator:
+    return SingleQubitOperator(_operators(rng.normal(size=(2, 2, 2))))
+
+
+def random_unitary(rng: np.random.Generator) -> SingleQubitOperator:
+    return SingleQubitOperator(_unitaries(rng.normal(size=(2, 2, 2))))
 
 
 class ScriptedStream:

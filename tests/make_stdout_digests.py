@@ -79,24 +79,38 @@ def write_files(files: dict[str, str], directory: Path) -> None:
         (directory / name).write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
-def run_line(argv: list[str]) -> list:
-    """[exit code, sha256 of stdout, sha256 of stderr] of one `cli.main` call."""
+def run_text(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one `cli.main` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return [code, *(hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err))]
+    return code, out.getvalue(), err.getvalue()
 
 
-def main() -> None:
-    files, argvs = corpus()
+def digests(code: int, out: str, err: str) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr]."""
+    return [code, *(hashlib.sha256(stream.encode()).hexdigest() for stream in (out, err))]
+
+
+def run_line(argv: list[str]) -> list:
+    return digests(*run_text(argv))
+
+
+def run_lines(files: dict[str, str], argvs: list[list[str]]) -> list[list]:
+    """[argv, *run_line(argv)] for each command line, run in a temporary directory that holds `files`."""
     with tempfile.TemporaryDirectory() as directory:
         write_files(files, Path(directory))
         cwd = os.getcwd()
         os.chdir(directory)
         try:
-            lines = [[argv, *run_line(argv)] for argv in argvs]
+            return [[argv, *run_line(argv)] for argv in argvs]
         finally:
             os.chdir(cwd)
+
+
+def main() -> None:
+    files, argvs = corpus()
+    lines = run_lines(files, argvs)
     # One command line per row, so that a rewrite shows in a diff as the lines that changed.
     rows = ",\n".join("    " + json.dumps(line) for line in lines)
     DIGESTS.parent.mkdir(exist_ok=True)

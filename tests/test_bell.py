@@ -9,13 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import random_product_state
 
 from bellkit import bell, core, engine
-from bellkit.checks import (
-    nearest_product_distance,
-    random_product_state,
-    random_two_qubit_state,
-)
+from bellkit.checks import nearest_product_distance, random_two_qubit_state
 
 INV = math.sqrt(0.5)
 

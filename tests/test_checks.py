@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import helpers
 import numpy as np
 import pytest
 
@@ -303,10 +304,11 @@ class TestOneSampleDraws:
     ])
     def test_bytes_of_the_loop_draws(self, name):
         reference = globals()["ref_" + name.removeprefix("random_")]
+        home = checks if name in checks.__all__ else helpers  # bellkit check uses random_two_qubit_state alone
         for seed in range(10):
             batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                assert_same_bytes(values(getattr(checks, name)(batched_rng)), values(reference(loop_rng)))
+                assert_same_bytes(values(getattr(home, name)(batched_rng)), values(reference(loop_rng)))
             assert batched_rng.random() == loop_rng.random()
 
     def test_row_norms_equal_one_dimensional_norms(self):

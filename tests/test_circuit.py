@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import random_program
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import circuit, engine
 from bellkit.bell import BellDescriptor
@@ -21,6 +23,7 @@ from bellkit.circuit import (
     MeasureRelative,
     MeasureValue,
     RawPreparation,
+    _TOKEN_RE,
     format_program,
     parse,
     validate,
@@ -329,6 +332,27 @@ class TestParseErrors:
         with pytest.raises(TypeError, match=f"^source must be a str, got {kind}$"):
             parse(source)
 
+    def test_split_lstrip_and_the_column_scan_agree_on_every_code_point(self):
+        """parse reads words with str.split() and a statement's column with str.lstrip(); a diagnostic
+        finds its column with the _TOKEN_RE scan.  All three must agree on what whitespace is."""
+        spaces = []
+        for point in range(0x110000):
+            c = chr(point)
+            assert ("a" + c + "b").split() == _TOKEN_RE.findall("a" + c + "b"), hex(point)
+            assert ((c + "x").lstrip() == "x") == c.isspace(), hex(point)
+            if c.isspace():
+                spaces.append(point)
+        assert len(spaces) == 29  # the README's count
+        assert {0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0xA0, 0x3000} <= set(spaces)
+
+    @pytest.mark.parametrize("space", ["\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000"])
+    def test_any_isspace_character_separates_words_and_counts_one_column(self, space):
+        program = parse_ok(f"{space}prepare{space}basis 01\nmeasure value A{space}\r\nshots{space * 2}7{space}\n")
+        assert program.preparation.source_pos == (1, 2) and program.shots_pos == (3, 8)
+        assert parse_errors(f"prepare basis 00\n{space}measure{space}value{space}C\n") == [
+            (2, 16, "error", "expected particle A or B, got 'C'"),
+        ]
+
 
 _PREPARATION_TYPES = "BasisPreparation or BellPreparation or BellRandomSignPreparation or RawPreparation"
 _STEP_TYPES = "ApplyNamed or ApplyBellOperator or ApplyRaw or MeasureRelative or MeasureValue"
@@ -482,6 +506,36 @@ class TestValidate:
         for call in (engine.compile, engine.run):
             with pytest.raises(engine.InvalidProgram, match="^2:1: error: unknown operator name 'hadamard'$"):
                 call(program)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: BasisPreparation(1.0), "index must be an integer, got 1.0"),
+        (lambda: BasisPreparation(True), "index must be an integer, got True"),
+        (lambda: BellRandomSignPreparation("psi", None), "s0 must be a real number, got None"),
+        (lambda: BellRandomSignPreparation("phi", "0.5"), "s0 must be a real number, got '0.5'"),
+        (lambda: BellRandomSignPreparation("phi", False), "s0 must be a real number, got False"),
+        (lambda: BellRandomSignPreparation(b"phi"), "bell_class must be a str, got bytes"),
+        (lambda: ApplyNamed(None, "A"), "name must be a str, got NoneType"),
+        (lambda: ApplyNamed("flip", 0), "particle must be a str, got int"),
+        (lambda: ApplyRaw(None, SingleQubitOperator([[1, 0], [0, 1]])), "particle must be a str, got NoneType"),
+        (lambda: MeasureValue(["A"]), "particle must be a str, got list"),
+    ], ids=["float-index", "bool-index", "none-s0", "str-s0", "bool-s0", "bytes-class", "none-name",
+            "int-particle", "none-raw-particle", "list-particle"])
+    def test_a_statement_field_of_a_wrong_type_is_a_type_error(self, build, message):
+        # BasisPreparation(1.0) and BellRandomSignPreparation("psi", None) raised in core and bell from
+        # validate; an s0 of "0.5" passed validate, and parse(format_program(p)) read s0=0.5 back.
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_numpy_fields_still_work(self):
+        steps = (ApplyNamed("flip", "B"), MeasureValue("A"), MeasureValue("B"))
+        for preparation, plain in [
+            (BasisPreparation(np.int64(2)), BasisPreparation(2)),
+            (BellRandomSignPreparation("psi", np.float32(0.25)), BellRandomSignPreparation("psi", 0.25)),
+            (BellRandomSignPreparation("phi", np.int8(1)), BellRandomSignPreparation("phi", 1.0)),
+        ]:
+            program = CircuitProgram(preparation, steps, 20, 7)
+            assert validate(program) == [] and parse_ok(format_program(program)) == program
+            assert engine.run(program) == engine.run(CircuitProgram(plain, steps, 20, 7))
 
     def test_diagnostics_sorted_by_position(self):
         program = parse_ok(
@@ -638,3 +692,60 @@ class TestFuzz:
             source = "\n".join(lines)
             program, diags = parse(source)
             assert (program is None) == bool(diags)
+
+
+# Field values of every kind a library caller might pass, right or wrong.
+_FIELD_VALUES = st.sampled_from([
+    0, 1, 3, 7, -1, 2**64, 0.25, 0.5, 1.0, 1.5, -0.0, math.nan, math.inf, "A", "B", "C", "phi", "psi", "flip",
+    "0.5", "", True, False, None, b"A", np.int64(2), np.float64(0.25), np.float32(0.5), np.bool_(True),
+])
+_UNITARY = SingleQubitOperator([[0, 1], [1, 0]])
+_PREPARATIONS = st.one_of(
+    st.fixed_dictionaries({"index": _FIELD_VALUES}).map(lambda f: (BasisPreparation, f)),
+    st.fixed_dictionaries({"bell_class": _FIELD_VALUES, "s0": _FIELD_VALUES}).map(
+        lambda f: (BellRandomSignPreparation, f)),
+    st.just((BellPreparation, {"descriptor": BellDescriptor("psi", -1, 0.3)})),
+    st.just((RawPreparation, {"state": TwoQubitState(INV, 0, 0, -INV)})),
+)
+_STEPS = st.one_of(
+    st.fixed_dictionaries({"name": _FIELD_VALUES, "particle": _FIELD_VALUES}).map(lambda f: (ApplyNamed, f)),
+    st.fixed_dictionaries({"particle": _FIELD_VALUES}).map(lambda f: (MeasureValue, f)),
+    st.fixed_dictionaries({"particle": _FIELD_VALUES}).map(
+        lambda f: (lambda particle: ApplyRaw(particle, _UNITARY), f)),
+    st.just((MeasureRelative, {})),
+    st.just((ApplyBellOperator, {})),
+)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _build(make, fields):
+    """make(**fields), or _Refused once its TypeError is a single line that names one of `fields`."""
+    try:
+        return make(**fields)
+    except TypeError as exc:
+        message = str(exc)
+        assert "\n" not in message and message.split(" must be ")[0] in fields, message
+        raise _Refused from exc
+
+
+class TestLibraryPrograms:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(_PREPARATIONS, st.lists(_STEPS, max_size=4), _FIELD_VALUES, _FIELD_VALUES)
+    def test_a_validated_program_is_a_format_program_fixed_point(self, preparation, steps, shots, seed):
+        """Either a constructor refuses a field by name, or validate returns; a program it passes
+        reads back from its canonical text as itself and runs as the read-back program runs."""
+        try:
+            program = _build(CircuitProgram, {
+                "preparation": _build(*preparation), "steps": [_build(*step) for step in steps],
+                "shots": shots, "seed": seed,
+            })
+        except _Refused:
+            return
+        if any(d.severity == "error" for d in validate(program)):
+            return
+        again = parse_ok(format_program(program))
+        assert again == program
+        assert engine.run(program, 3, 1) == engine.run(again, 3, 1)

@@ -13,9 +13,9 @@ import pickle
 
 import numpy as np
 import pytest
+from helpers import random_operator, random_single_qubit_state, random_unitary
 
 from bellkit import bell, checks, circuit, cli, core, engine
-from bellkit.checks import random_operator, random_single_qubit_state, random_unitary
 
 INV = math.sqrt(0.5)
 

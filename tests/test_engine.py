@@ -13,14 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import ScriptedStream, count_calls, interpret, interpret_one_particle, random_program
+from helpers import ScriptedStream, count_calls, interpret, interpret_one_particle, random_program, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit
 from bellkit import _streams, circuit, core, engine
 from bellkit.bell import BellDescriptor, bell_state, classify, separability_defect
-from bellkit.checks import random_two_qubit_state, random_unitary
+from bellkit.checks import random_two_qubit_state
 from bellkit.circuit import (
     ApplyBellOperator,
     ApplyNamed,
